@@ -89,6 +89,10 @@ cross-shard byte-identity check is CI's `cmp` over the harness's stdout;
 cross-machine FP drift in the generators' libm calls would make a digest
 gate flaky).
 
+A missing BASELINE or CURRENT file exits 2 with a message naming it; for
+the baseline the message also gives the Release-build command that
+regenerates it.
+
 usage: check_perf.py BASELINE CURRENT [--online | --chaos | --stream]
                      [--tolerance F] [--min-speedup S] [--min-normalized R]
 """
@@ -99,6 +103,32 @@ import sys
 
 FLOOR_KEY = "flows_256"
 FLAT_FLOOR_KEY = "flows_1048576"
+
+# The command that regenerates each mode's committed baseline, from a
+# Release tree (cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release).
+REGENERATE = {
+    "micro": "./build-release/bench/micro_algorithms --json {path}",
+    "online": "./build-release/bench/online_loadgen --requests 200000 "
+              "--threads 4 --repeats 3 --json {path}",
+    "chaos": "./build-release/bench/control_plane --threads 2 --json {path}",
+    "stream": "./build-release/bench/giant_run --shards 2 --json {path}",
+}
+
+
+def load(path, mode, is_baseline):
+    """Parse a bench JSON; exit 2 naming the file when it does not exist."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except FileNotFoundError:
+        if is_baseline:
+            print(f"check_perf.py: baseline {path} does not exist; "
+                  "regenerate it from a Release build with\n  "
+                  + REGENERATE[mode].format(path=path), file=sys.stderr)
+        else:
+            print(f"check_perf.py: measured file {path} does not exist; "
+                  "run the bench that writes it first", file=sys.stderr)
+        sys.exit(2)
 
 
 def check_online(baseline, current, tolerance, min_normalized):
@@ -297,10 +327,10 @@ def main() -> int:
         args.tolerance = (0.02 if args.chaos else
                           0.50 if args.online else 0.25)
 
-    with open(args.baseline) as f:
-        baseline = json.load(f)
-    with open(args.current) as f:
-        current = json.load(f)
+    mode = ("online" if args.online else "chaos" if args.chaos else
+            "stream" if args.stream else "micro")
+    baseline = load(args.baseline, mode, is_baseline=True)
+    current = load(args.current, mode, is_baseline=False)
 
     if args.chaos:
         failures = check_chaos(baseline, current, args.tolerance)

@@ -47,8 +47,11 @@
 // consumers are safe to read from the caller again.
 //
 // Memory: one barrier window of events per lane, twice (one filling, one
-// draining), plus the merge scratch — bounded by burst density times the
-// lookahead, never by run length.
+// draining), plus the merge scratch.  Windows are sized by work on the
+// lookahead grid (stream/sharded.h): a window's events come from at most
+// its arrival target plus one lookahead slice of arrivals, and from the
+// completions retiring meanwhile — not from burst density times the
+// lookahead, and never from the whole run.
 #pragma once
 
 #include <condition_variable>

@@ -14,8 +14,9 @@
 //     each request after retiring everything before its arrival, so only the
 //     same-instant arrival batch is ever buffered;
 //   * stream::simulate_sharded(...)   — one engine per tenant lane advancing
-//     under a conservative virtual-time barrier (lookahead = δ), where
-//     advance_until(W + δ) is the barrier step.
+//     under a conservative virtual-time barrier whose windows are sized by
+//     work on a lookahead grid, where advance_until(E) to the window's edge
+//     E is the barrier step.
 // Because all three call the identical member functions in the identical
 // order, streamed and sharded runs are bit-identical to the materialized
 // single-threaded reference by construction (tests/test_stream.cpp,

@@ -29,6 +29,24 @@ bool merged_before(const CompletionRecord& a, const CompletionRecord& b) {
   return a.server < b.server;
 }
 
+/// Work a barrier window carries: feeding stops at the first lookahead edge
+/// after this many arrivals per lane, and the width grows while windows
+/// retire fewer events than that.  Large enough that one fork-join plus one
+/// drain handoff is small next to the lane work it covers.
+constexpr std::uint64_t kArrivalsPerLane = 32;
+
+/// Cap on a window's width, in lookahead slices.  Reached in drain tails,
+/// where only completions remain and every lane's service rate is fixed.
+constexpr Time kMaxWidth = 1024;
+
+/// End of the `slices`-slice span of the lookahead grid that starts at the
+/// slice holding `t`; kTimeMax when that edge would overflow.
+Time grid_edge(Time t, Time delta, Time slices) {
+  const Time start = t - t % delta;
+  return (kTimeMax - start) / delta < slices ? kTimeMax
+                                             : start + slices * delta;
+}
+
 }  // namespace
 
 ShardedStats simulate_sharded(
@@ -99,6 +117,7 @@ ShardedStats simulate_sharded(
   std::optional<Request> peek = requests.next();
   if (peek) validate(*peek);
   std::vector<CompletionRecord> merged;
+  Time width = 1;  ///< next window's span, in lookahead slices
 
   while (true) {
     // Realign the window to the next event anywhere — buffered stream head
@@ -108,12 +127,18 @@ ShardedStats simulate_sharded(
     for (const auto& lane : lanes)
       next_event = std::min(next_event, lane->engine->next_event_time());
     if (next_event == kTimeMax) break;
-    const Time window = next_event - next_event % delta;
-    const Time limit = window > kTimeMax - delta ? kTimeMax : window + delta;
+    const Time full = grid_edge(next_event, delta, width);
+    Time limit = full;
 
-    // Feed: every arrival inside this window goes to its tenant's inbox.
+    // Feed: every arrival before the edge goes to its tenant's inbox.  Once
+    // the arrival target is met, the edge moves in to the end of the slice
+    // holding the latest arrival, so the window still ends on the grid.
+    std::uint64_t fed = 0;
     while (peek && peek->arrival < limit) {
+      const Time arrival = peek->arrival;
       lane_for(peek->client).inbox.push_back(*peek);
+      if (++fed >= kArrivalsPerLane * lanes.size())
+        limit = grid_edge(arrival, delta, 1);
       peek = requests.next();
       if (peek) validate(*peek);
     }
@@ -155,6 +180,13 @@ ShardedStats simulate_sharded(
       out(record);
     }
     ++stats.windows;
+
+    // Size the next window from this one's work.  Every count read here is
+    // a function of the input alone, so windows are shard-independent.
+    if (limit < full)
+      width = std::max<Time>(1, width / 2);
+    else if (fed + merged.size() < kArrivalsPerLane * lanes.size())
+      width = std::min(kMaxWidth, width * 2);
   }
 
   for (const auto& lane : lanes) {

@@ -8,16 +8,24 @@
 // coupling but the *streaming input* (one globally arrival-sorted stream)
 // and the *deterministic output* (one canonical completion order).  Both are
 // provided by a conservative virtual-time barrier, classic conservative PDES
-// with lookahead δ:
+// over a lookahead grid of slice width δ:
 //
-//   window k:  feed every arrival in [W, W+δ) to its lane's inbox;
-//              advance all lanes to W+δ in parallel (the barrier step);
+//   window k:  feed every arrival in [W, E) to its lane's inbox;
+//              advance all lanes to E in parallel (the barrier step);
 //              merge the lanes' window completions canonically and emit.
 //
 // Lookahead here is exact, not estimated: a lane can always advance to the
 // window edge because no event outside its own inbox can affect it.  Windows
-// jump over empty virtual time (W realigns to the next event), so sparse
-// traces don't pay per-window overhead.
+// are sized by work on the δ grid.  W is the start of the slice holding the
+// next event (so empty virtual time costs nothing) and E = W + width·δ, but
+// feeding stops at the first grid edge after the window has fed 32 arrivals
+// per lane, which becomes E.  The width doubles after a window that retired
+// (arrivals fed + completions) fewer events than that target, up to a cap,
+// and halves after a window the target cut short.  Every count the rule
+// reads is a function of the input, so windows are shard-independent; a
+// dense stretch takes one barrier per target's worth of arrivals, and a
+// drain tail with no arrivals left takes one per wide window instead of one
+// per slice.
 //
 // Determinism argument (tests/test_sharded_sim.cpp asserts all of it):
 //   * each lane's event sequence is a pure function of its input — the
@@ -30,8 +38,9 @@
 //     of both thread scheduling and shard count.  Windows tile virtual time,
 //     so per-window merges concatenate into a globally sorted sequence.
 //
-// Memory: one window of arrivals + per-lane in-flight state + one window of
-// completions — bounded by burst density, not run length.
+// Memory: one window of arrivals (the arrival target plus at most one
+// slice) + per-lane in-flight state + one window of completions — bounded
+// by the target and burst density over one slice, not by run length.
 #pragma once
 
 #include <cstdint>
@@ -66,9 +75,11 @@ struct ShardedOptions {
   /// serial reference every other count must match bit for bit.
   int shards = 1;
 
-  /// δ — the barrier window width in virtual time.  Purely a
-  /// throughput/memory knob: wider windows amortize barriers but buffer more
-  /// arrivals; results are identical for any value.
+  /// δ — the grid barrier window edges sit on, in virtual time.  A window
+  /// spans a whole number of δ slices, sized by work (see the file
+  /// comment), so δ bounds how far past the arrival target a window can
+  /// feed.  Purely a throughput/memory knob: results are identical for any
+  /// value.
   Time lookahead = 10'000;
 
   /// Observability (both optional, borrowed, coordinator-thread consumers).

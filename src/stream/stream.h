@@ -66,35 +66,50 @@ class TraceStream final : public RequestStream {
 /// ties resolve to the lowest source index, then to within-source order —
 /// exactly the order Trace::merge's concatenate-then-stable-sort produces —
 /// so merging streams and streaming a merged Trace are interchangeable.
+///
+/// Each pull scans one contiguous array of head arrival times (8 bytes per
+/// source) rather than the buffered records themselves; the strict `<` keeps
+/// the lowest source on ties.
 class MergedStream final : public RequestStream {
  public:
   explicit MergedStream(std::vector<std::unique_ptr<RequestStream>> sources)
-      : sources_(std::move(sources)), fronts_(sources_.size()) {
-    for (std::size_t c = 0; c < sources_.size(); ++c)
-      fronts_[c] = sources_[c]->next();
+      : sources_(std::move(sources)),
+        fronts_(sources_.size()),
+        heads_(sources_.size()) {
+    for (std::size_t c = 0; c < sources_.size(); ++c) refill(c);
   }
 
   std::optional<Request> next() override {
-    std::size_t best = fronts_.size();
-    for (std::size_t c = 0; c < fronts_.size(); ++c) {
-      if (!fronts_[c]) continue;
-      if (best == fronts_.size() ||
-          fronts_[c]->arrival < fronts_[best]->arrival) {
+    if (heads_.empty()) return std::nullopt;
+    std::size_t best = 0;
+    Time best_arrival = heads_[0];
+    for (std::size_t c = 1; c < heads_.size(); ++c) {
+      if (heads_[c] < best_arrival) {
+        best_arrival = heads_[c];
         best = c;
       }
     }
+    // kTimeMax marks an exhausted source but is also a legal arrival: at
+    // that head time, take the lowest source that still holds a record.
+    while (best < fronts_.size() && !fronts_[best]) ++best;
     if (best == fronts_.size()) return std::nullopt;
     Request r = *fronts_[best];
-    fronts_[best] = sources_[best]->next();
-    QOS_CHECK(!fronts_[best] || fronts_[best]->arrival >= r.arrival);
+    refill(best);
+    QOS_CHECK(heads_[best] >= r.arrival);
     r.client = static_cast<std::uint32_t>(best);
     r.seq = seq_++;
     return r;
   }
 
  private:
+  void refill(std::size_t c) {
+    fronts_[c] = sources_[c]->next();
+    heads_[c] = fronts_[c] ? fronts_[c]->arrival : kTimeMax;
+  }
+
   std::vector<std::unique_ptr<RequestStream>> sources_;
   std::vector<std::optional<Request>> fronts_;  ///< buffered head per source
+  std::vector<Time> heads_;  ///< fronts_[c]'s arrival; kTimeMax once dry
   std::uint64_t seq_ = 0;
 };
 

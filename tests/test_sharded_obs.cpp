@@ -17,6 +17,7 @@
 #include "obs/metrics.h"
 #include "obs/sink.h"
 #include "obs/trace.h"
+#include "sharded_fleet.h"
 #include "sim/server.h"
 #include "stream/gen_stream.h"
 #include "stream/sharded.h"
@@ -228,6 +229,58 @@ TEST(ShardObs, MetricSnapshotIdenticalAcrossShardCounts) {
     SCOPED_TRACE(shards);
     auto got = run_observed(shards);
     expect_same_snapshot(got->registry, ref->registry);
+  }
+}
+
+// 64 tenants with a long drain tail (tests/sharded_fleet.h): work-sized
+// windows must leave every consumer's view identical to the per-tenant
+// serial reference, at every shard count, lookahead and drain mode.
+TEST(ShardObsManyTenants, IdenticalToSerialReferenceInEveryConfiguration) {
+  const auto ref = fleet::serial_reference(/*observed=*/true);
+  ASSERT_FALSE(ref->events.empty());
+  EventStreamDigest ref_digest;
+  for (const Event& e : ref->events) ref_digest.fold(e);
+  const std::uint64_t per_target =
+      ref->completions.size() / (fleet::kArrivalsPerLane * fleet::kTenants);
+
+  struct Config {
+    int shards;
+    Time lookahead;
+    bool overlap;
+  };
+  const Config configs[] = {{1, 10'000, true},  {2, 10'000, true},
+                            {8, 10'000, true},  {8, 10'000, false},
+                            {2, 1'000, true},   {2, kUsPerSec, false}};
+  std::uint64_t windows_at_10ms = 0;
+  for (const Config& c : configs) {
+    SCOPED_TRACE(testing::Message() << "shards " << c.shards << " lookahead "
+                                    << c.lookahead << " overlap "
+                                    << c.overlap);
+    CountingSink downstream;
+    MetricRegistry registry;
+    std::vector<CompletionRecord> got;
+    auto s = fleet::merged_stream();
+    const ShardedStats stats = simulate_sharded(
+        *s, fleet::build_lane,
+        ShardedOptions{.shards = c.shards,
+                       .lookahead = c.lookahead,
+                       .sink = &downstream,
+                       .registry = &registry,
+                       .overlap_drain = c.overlap},
+        [&got](const CompletionRecord& r) { got.push_back(r); });
+
+    ASSERT_EQ(got.size(), ref->completions.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+      ASSERT_EQ(got[i], ref->completions[i]) << "at " << i;
+    EXPECT_EQ(stats.events_forwarded, ref->events.size());
+    EXPECT_EQ(downstream.total(), ref->events.size());
+    EXPECT_EQ(stats.event_digest, ref_digest);
+    expect_same_snapshot(registry, ref->registry);
+    if (c.lookahead == 10'000) {
+      if (windows_at_10ms == 0) windows_at_10ms = stats.windows;
+      EXPECT_EQ(stats.windows, windows_at_10ms);
+    }
+    EXPECT_LE(stats.windows, 3 * per_target);  // not one per slice
   }
 }
 

@@ -9,6 +9,7 @@
 #include <algorithm>
 
 #include "core/shaper.h"
+#include "sharded_fleet.h"
 #include "sim/engine.h"
 #include "sim/server.h"
 #include "sim/simulator.h"
@@ -169,6 +170,43 @@ TEST(ShardStats, CountsAndInvariants) {
   for (const TenantSpec& t : kTenants)
     parts.push_back(preset_trace(t.workload, kRun));
   EXPECT_EQ(stats.requests, Trace::merge(parts).size());
+}
+
+// 64 tenants: windows sized by work, over an arrival-dense stretch and a
+// long drain tail (tests/sharded_fleet.h).  The windows taken are a pure
+// function of the input, and far fewer than one per lookahead slice.
+TEST(ShardManyTenants, MatchesSerialReferenceAcrossShardsAndLookaheads) {
+  const auto ref = fleet::serial_reference(/*observed=*/false);
+  ASSERT_FALSE(ref->completions.empty());
+  // The under-provisioned lanes keep completing for well over another run
+  // length after the last arrival.
+  ASSERT_GT(ref->completions.back().finish,
+            ref->last_arrival + fleet::kRun);
+  const std::uint64_t requests = ref->completions.size();
+  const std::uint64_t per_target =
+      requests / (fleet::kArrivalsPerLane * fleet::kTenants);
+
+  for (Time lookahead : {Time{1'000}, Time{10'000}, kUsPerSec}) {
+    std::uint64_t windows = 0;
+    for (int shards : {1, 2, 8}) {
+      SCOPED_TRACE(testing::Message() << "lookahead " << lookahead
+                                      << " shards " << shards);
+      auto s = fleet::merged_stream();
+      std::vector<CompletionRecord> got;
+      const stream::ShardedStats stats = simulate_sharded(
+          *s, fleet::build_lane,
+          ShardedOptions{.shards = shards, .lookahead = lookahead},
+          [&got](const CompletionRecord& r) { got.push_back(r); });
+      ASSERT_EQ(got.size(), ref->completions.size());
+      for (std::size_t i = 0; i < got.size(); ++i)
+        ASSERT_EQ(got[i], ref->completions[i]) << "at " << i;
+      EXPECT_EQ(stats.tenants, fleet::kTenants);
+      if (shards == 1) windows = stats.windows;
+      EXPECT_EQ(stats.windows, windows);
+      // One window per lookahead slice would be thousands here.
+      EXPECT_LE(stats.windows, 3 * per_target);
+    }
+  }
 }
 
 TEST(ShardStats, SingleTenantDegeneratesToStreamedRun) {

@@ -135,6 +135,23 @@ TEST(StreamGen, DigestDistinguishesPrefix) {
   EXPECT_NE(hash_trace(t2), hash_trace(t0));
 }
 
+// Hand-built source k for the many-source merge: arrivals on a coarse grid
+// shared by every source, so equal instants across sources are the rule;
+// every seventh source is empty, the rest run dry at different times, and
+// odd sources repeat each instant twice.  lba tags (source, index).
+Trace tied_source(std::size_t k) {
+  std::vector<Request> requests;
+  if (k % 7 == 3) return Trace(std::move(requests));
+  const std::size_t n = 5 + (k * 13) % 40;
+  const std::size_t repeat = 1 + k % 2;
+  const Time step = static_cast<Time>(10 * (1 + k % 3));
+  for (std::size_t j = 0; j < n; ++j)
+    requests.push_back(
+        Request{.arrival = static_cast<Time>(j / repeat) * step,
+                .lba = k * 1'000 + j});
+  return Trace(std::move(requests));
+}
+
 TEST(StreamMerge, MatchesTraceMerge) {
   std::vector<Trace> parts;
   parts.push_back(preset_trace(Workload::kWebSearch, kShortRun));
@@ -150,6 +167,21 @@ TEST(StreamMerge, MatchesTraceMerge) {
   sources.push_back(stream::make_poisson_stream(200, kShortRun, 3));
   stream::MergedStream s(std::move(sources));
   expect_same_sequence(merged, s);
+
+  // Many sources with deliberate cross-source ties: the lowest source wins
+  // each tie, then within-source order, as Trace::merge's stable sort does.
+  for (std::size_t count : {1, 64, 130}) {
+    SCOPED_TRACE(count);
+    std::vector<Trace> tied;
+    for (std::size_t k = 0; k < count; ++k) tied.push_back(tied_source(k));
+    const Trace want = Trace::merge(tied);
+    std::vector<std::unique_ptr<RequestStream>> tied_sources;
+    for (Trace& t : tied)
+      tied_sources.push_back(
+          std::make_unique<stream::TraceStream>(std::move(t)));
+    stream::MergedStream tied_merge(std::move(tied_sources));
+    expect_same_sequence(want, tied_merge);
+  }
 }
 
 TEST(StreamSim, CompletionsEventsAndDigestMatchMaterialized) {

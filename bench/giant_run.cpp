@@ -70,7 +70,6 @@
 #include "obs/trace.h"
 #include "obs/trace_stream.h"
 #include "runner/hash.h"
-#include "sim/server.h"
 #include "stream/gen_stream.h"
 #include "stream/sharded.h"
 #include "stream/stream.h"
@@ -203,11 +202,9 @@ std::uint64_t peak_rss_bytes() {
 constexpr Policy kPolicyCycle[] = {Policy::kMiser, Policy::kSplit,
                                    Policy::kFairQueue, Policy::kFcfs};
 
-// Mirrors shape_and_run's server construction (see core/shaper.cpp): Split
-// gets a dedicated primary at Cmin plus an overflow server at dC;
-// shared-server policies get one server at Cmin + dC.  Cmin is provisioned
-// at 1.5x the tenant's offered rate and the headroom at 0.25x, so every
-// lane is stable and queues — and therefore memory — stay bounded.
+// Servers come from make_servers, as in shape_and_run.  Cmin is
+// provisioned at 1.5x the tenant's offered rate and the headroom at 0.25x,
+// so every lane is stable and queues — and therefore memory — stay bounded.
 stream::TenantSim build_tenant(double rate_iops, std::uint32_t client) {
   ShapingConfig config;
   config.policy = kPolicyCycle[client % std::size(kPolicyCycle)];
@@ -215,14 +212,7 @@ stream::TenantSim build_tenant(double rate_iops, std::uint32_t client) {
   const double cmin = 1.5 * rate_iops;
   stream::TenantSim sim;
   sim.scheduler = make_scheduler(config, cmin);
-  const double headroom = config.resolved_headroom_iops();
-  if (sim.scheduler->server_count() == 2) {
-    sim.servers.push_back(std::make_unique<ConstantRateServer>(cmin));
-    sim.servers.push_back(std::make_unique<ConstantRateServer>(headroom));
-  } else {
-    sim.servers.push_back(
-        std::make_unique<ConstantRateServer>(cmin + headroom));
-  }
+  sim.servers = make_servers(config, cmin, sim.scheduler->server_count());
   return sim;
 }
 

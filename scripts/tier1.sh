@@ -2,7 +2,7 @@
 # Tier-1 verification: the plain build + test matrix from ROADMAP.md, then
 # the same test suite under ASan+UBSan so the simulator/scheduler hot paths
 # (including the observability hooks) stay sanitizer-clean.  An optional
-# third stage runs the concurrency-facing suites (runner, obs, fault/chaos)
+# third stage runs the concurrency-facing suites (scripts/tsan_filter.txt)
 # under ThreadSanitizer — the parallel experiment engine's race gate.
 #
 #   scripts/tier1.sh            # plain + ASan/UBSan passes
@@ -13,16 +13,9 @@ cd "$(dirname "$0")/.."
 
 jobs=$(nproc 2>/dev/null || echo 4)
 
-# Concurrency-facing test suites for the TSan stage: the runner subsystem
-# plus everything its worker threads touch (metrics, reports, fault/chaos).
-tsan_filter='ThreadPool|ResultCache|Sweep|Parallel|MinCapacityCached|Merge'
-tsan_filter+='|Obs|Chaos|Fault|DegradedRtt|CapacityMonitor|Histogram'
-tsan_filter+='|Registry|Occupancy|CounterGauge|Sinks|Exporters|ShapingReport|Sla'
-tsan_filter+='|Tracer|TraceLifecycle|Profile'
-# Million-flow hot-path structures and the sparse-activation differentials:
-# single-threaded by design, kept in the TSan stage as a cheap guard against
-# a future caller sharing a scheduler across runner threads.
-tsan_filter+='|FlatSlotMap|TimerWheel|IndexedMinHeapLazy|FqSparseActivation'
+# Concurrency-facing test suites for the TSan stage, shared with CI's tsan
+# job: one alternative per line in scripts/tsan_filter.txt.
+tsan_filter=$(grep -Ev '^[[:space:]]*(#|$)' scripts/tsan_filter.txt | paste -sd'|' -)
 
 echo "== tier-1: plain build + ctest =="
 cmake -B build -S . >/dev/null
@@ -39,7 +32,7 @@ cmake --build build-asan -j"$jobs"
 ctest --test-dir build-asan --output-on-failure --timeout 300 -j"$jobs"
 
 if [[ "${1:-}" == "--tsan" ]]; then
-  echo "== tier-1: TSan build + ctest (runner/obs/fault suites) =="
+  echo "== tier-1: TSan build + ctest (scripts/tsan_filter.txt suites) =="
   cmake -B build-tsan -S . -DQOS_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j"$jobs"
   ctest --test-dir build-tsan --output-on-failure --timeout 300 -j"$jobs" \

@@ -44,6 +44,36 @@ std::unique_ptr<Scheduler> make_scheduler(const ShapingConfig& config,
   return scheduler;
 }
 
+std::vector<std::unique_ptr<Server>> make_servers(const ShapingConfig& config,
+                                                  double cmin_iops,
+                                                  int server_count) {
+  QOS_EXPECTS(server_count == 1 || server_count == 2);
+  const double headroom = config.resolved_headroom_iops();
+  std::vector<std::unique_ptr<Server>> servers;
+  if (server_count == 2) {
+    servers.push_back(std::make_unique<ConstantRateServer>(cmin_iops));
+    servers.push_back(
+        std::make_unique<ConstantRateServer>(headroom > 0 ? headroom : 1.0));
+  } else {
+    servers.push_back(
+        std::make_unique<ConstantRateServer>(cmin_iops + headroom));
+  }
+  return servers;
+}
+
+std::vector<Server*> decorated_servers(
+    const ShapingConfig& config,
+    const std::vector<std::unique_ptr<Server>>& servers) {
+  std::vector<Server*> out;
+  for (std::size_t s = 0; s < servers.size(); ++s) {
+    Server* backing = servers[s].get();
+    out.push_back(config.server_decorator
+                      ? config.server_decorator(backing, static_cast<int>(s))
+                      : backing);
+  }
+  return out;
+}
+
 ShapingOutcome shape_and_run(const Trace& trace, const ShapingConfig& raw) {
   QOS_EXPECTS(raw.delta > 0);
   // Wire the sink chain on a private copy: the explicit setup step the
@@ -60,20 +90,10 @@ ShapingOutcome shape_and_run(const Trace& trace, const ShapingConfig& raw) {
 
   auto scheduler = make_scheduler(config, out.cmin_iops);
 
-  auto decorated = [&](Server* s, int index) {
-    return config.server_decorator ? config.server_decorator(s, index) : s;
-  };
-  if (config.policy == Policy::kSplit) {
-    ConstantRateServer primary(out.cmin_iops);
-    ConstantRateServer overflow(out.headroom_iops > 0 ? out.headroom_iops
-                                                      : 1.0);
-    Server* servers[] = {decorated(&primary, 0), decorated(&overflow, 1)};
-    out.sim = simulate(trace, *scheduler, servers, config.effective_sink());
-  } else {
-    ConstantRateServer server(out.total_iops());
-    Server* servers[] = {decorated(&server, 0)};
-    out.sim = simulate(trace, *scheduler, servers, config.effective_sink());
-  }
+  const auto owned =
+      make_servers(config, out.cmin_iops, scheduler->server_count());
+  out.sim = simulate(trace, *scheduler, decorated_servers(config, owned),
+                     config.effective_sink());
   if (config.observed()) {
     out.report = build_shaping_report(out.sim, config.delta, config.registry);
     if (config.tracer != nullptr) {

@@ -118,6 +118,23 @@ struct ShapingOutcome {
 std::unique_ptr<Scheduler> make_scheduler(const ShapingConfig& config,
                                           double cmin_iops);
 
+/// The backing servers for a scheduler that drives `server_count` servers —
+/// the one place the Split-vs-shared provisioning rule lives.  Two servers
+/// (Split's dedicated overflow server): a primary at Cmin and an overflow
+/// server at dC (1 IOPS when dC is 0, since a server needs a positive
+/// rate).  One server: a shared server at Cmin + dC.  Key it on the
+/// scheduler actually built (Scheduler::server_count()), not on
+/// `config.policy`, which custom and degraded backends ignore.
+std::vector<std::unique_ptr<Server>> make_servers(const ShapingConfig& config,
+                                                  double cmin_iops,
+                                                  int server_count);
+
+/// `servers` as a run sees them: each passed through
+/// `config.server_decorator` (with its index) when one is set.
+std::vector<Server*> decorated_servers(
+    const ShapingConfig& config,
+    const std::vector<std::unique_ptr<Server>>& servers);
+
 /// Profile (unless overridden), schedule and simulate.  FCFS receives the
 /// same total capacity (Cmin + dC) on a single server, matching the paper's
 /// equal-resources comparison.

@@ -1,13 +1,50 @@
 #include "online/replay.h"
 
-#include <memory>
+#include <vector>
 
-#include "sim/server.h"
+#include "sim/engine.h"
 #include "util/check.h"
 #include "util/clock.h"
-#include "util/indexed_heap.h"
 
 namespace qos::online {
+namespace {
+
+// The engine's front for a replay: each scheduler-facing call goes through
+// the Shaper's public API, with the Shaper's clock kept at the event
+// instant so anything reading it (reconfigure, a decorator) sees the
+// engine's time.
+class ShaperFront {
+ public:
+  ShaperFront(Shaper& shaper, VirtualClock& clock,
+              std::vector<Decision>& decisions)
+      : shaper_(shaper), clock_(clock), decisions_(decisions) {}
+
+  int server_count() const { return shaper_.server_count(); }
+
+  void arrive(const Request& r, Time now) {
+    clock_.advance_to(now);
+    decisions_.push_back(shaper_.admit(r, now));
+  }
+
+  template <typename Started>
+  void fill(Time now, Started&& started) {
+    clock_.advance_to(now);
+    for (const DispatchCommand& cmd : shaper_.poll_dispatch(now))
+      started(cmd.server, Scheduler::Dispatch{cmd.request, cmd.klass});
+  }
+
+  void complete(const Request& r, ServiceClass klass, int server, Time now) {
+    clock_.advance_to(now);
+    shaper_.on_completion(r, klass, server, now);
+  }
+
+ private:
+  Shaper& shaper_;
+  VirtualClock& clock_;
+  std::vector<Decision>& decisions_;
+};
+
+}  // namespace
 
 ReplayOutcome replay_trace(const Trace& trace, const ShaperOptions& options) {
   QOS_EXPECTS(options.max_q2_depth == 0);
@@ -16,90 +53,23 @@ ReplayOutcome replay_trace(const Trace& trace, const ShaperOptions& options) {
   VirtualClock clock;
   Shaper shaper(options, clock);
   const ShapingConfig& shaping = shaper.options().shaping;
-
-  // Backing servers, built exactly like shape_and_run: Split gets a
-  // dedicated overflow server at dC, everything else one server at
-  // Cmin + dC.  Degraded admission is single-server strict priority.
-  const double headroom = shaping.resolved_headroom_iops();
-  std::vector<std::unique_ptr<ConstantRateServer>> owned;
-  if (!options.use_degraded_admission &&
-      shaping.policy == Policy::kSplit) {
-    owned.push_back(
-        std::make_unique<ConstantRateServer>(options.cmin_iops));
-    owned.push_back(
-        std::make_unique<ConstantRateServer>(headroom > 0 ? headroom : 1.0));
-  } else {
-    owned.push_back(
-        std::make_unique<ConstantRateServer>(options.cmin_iops + headroom));
-  }
-  std::vector<Server*> servers;
-  for (std::size_t s = 0; s < owned.size(); ++s) {
-    Server* backing = owned[s].get();
-    servers.push_back(shaping.server_decorator
-                          ? shaping.server_decorator(backing,
-                                                     static_cast<int>(s))
-                          : backing);
-  }
-  QOS_CHECK(static_cast<int>(servers.size()) == shaper.server_count());
-  if (EventSink* sink = shaper.event_sink(); sink != nullptr)
-    for (Server* s : servers) s->attach_observability(sink);
+  const auto owned =
+      make_servers(shaping, options.cmin_iops, shaper.server_count());
 
   ReplayOutcome out;
   out.decisions.reserve(trace.size());
   out.sim.completions.reserve(trace.size());
-
-  // In-flight record per server, valid from dispatch to completion.
-  std::vector<CompletionRecord> slot(servers.size());
-  IndexedMinHeap<Time> pending(static_cast<int>(servers.size()));
-  std::size_t next_arrival = 0;
-
-  while (true) {
-    const Time next_completion =
-        pending.empty() ? kTimeMax : pending.top_key();
-    const Time arrival_time = next_arrival < trace.size()
-                                  ? trace[next_arrival].arrival
-                                  : kTimeMax;
-    const Time now = std::min(next_completion, arrival_time);
-    if (now == kTimeMax) break;
-    clock.advance_to(now);
-
-    // Completions first, in (finish, server) order — the simulator's
-    // documented contract.
-    while (!pending.empty() && pending.top_key() == now) {
-      const int s = pending.pop();
-      const CompletionRecord& record = slot[static_cast<std::size_t>(s)];
-      out.sim.completions.push_back(record);
-      shaper.on_completion(Request{.arrival = record.arrival,
-                                   .seq = record.seq,
-                                   .client = record.client},
-                           record.klass, s, now);
-    }
-
-    // Then every arrival at `now`.
-    while (next_arrival < trace.size() &&
-           trace[next_arrival].arrival == now) {
-      out.decisions.push_back(shaper.admit(trace[next_arrival], now));
-      ++next_arrival;
-    }
-
-    // Then refill the backends, asking the server models for durations in
-    // dispatch order (they are stateful, like simulate() warns).
-    for (const DispatchCommand& cmd : shaper.poll_dispatch(now)) {
-      const std::size_t s = static_cast<std::size_t>(cmd.server);
-      const Time dur = servers[s]->service_duration(cmd.request, now);
-      QOS_CHECK(dur > 0);
-      slot[s] = CompletionRecord{
-          .seq = cmd.request.seq,
-          .client = cmd.request.client,
-          .arrival = cmd.request.arrival,
-          .start = now,
-          .finish = now + dur,
-          .klass = cmd.klass,
-          .server = static_cast<std::uint8_t>(cmd.server),
-      };
-      pending.push(cmd.server, now + dur);
-    }
+  BasicSimEngine<ShaperFront> engine(ShaperFront(shaper, clock, out.decisions),
+                                     decorated_servers(shaping, owned),
+                                     shaper.event_sink());
+  auto collect = [&out](const CompletionRecord& record) {
+    out.sim.completions.push_back(record);
+  };
+  for (const Request& r : trace) {
+    engine.advance_until(r.arrival, collect);
+    engine.push_arrival(r);
   }
+  engine.advance_until(kTimeMax, collect);
 
   QOS_ENSURES(out.decisions.size() == trace.size());
   QOS_ENSURES(out.sim.completions.size() == trace.size());

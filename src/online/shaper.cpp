@@ -1,7 +1,5 @@
 #include "online/shaper.h"
 
-#include <algorithm>
-
 #include "fault/degraded_scheduler.h"
 #include "util/check.h"
 
@@ -60,39 +58,50 @@ class Shaper::DecisionCapture final : public EventSink {
   Decision last_;
 };
 
-Shaper::Shaper(const ShaperOptions& options, Clock& clock)
-    : options_(options), clock_(&clock) {
-  QOS_EXPECTS(options_.cmin_iops > 0 ||
-              options_.make_custom_scheduler != nullptr);
-  QOS_EXPECTS(options_.shaping.delta > 0);
-  options_.shaping.wire_sinks();
-  capture_ =
-      std::make_unique<DecisionCapture>(options_.shaping.effective_sink());
-  if (options_.make_custom_scheduler != nullptr) {
-    scheduler_ = options_.make_custom_scheduler();
-    QOS_CHECK(scheduler_ != nullptr);
-  } else if (options_.use_degraded_admission) {
-    const double server_iops =
-        options_.server_iops > 0
-            ? options_.server_iops
-            : options_.cmin_iops + options_.shaping.resolved_headroom_iops();
-    scheduler_ = std::make_unique<DegradedRttScheduler>(
-        options_.cmin_iops, options_.shaping.delta, server_iops,
-        options_.degraded);
-  } else {
-    scheduler_ = make_scheduler(options_.shaping, options_.cmin_iops);
+namespace {
+
+ShaperOptions wired(ShaperOptions options) {
+  options.shaping.wire_sinks();
+  return options;
+}
+
+std::unique_ptr<Scheduler> make_backend(const ShaperOptions& options) {
+  QOS_EXPECTS(options.cmin_iops > 0 ||
+              options.make_custom_scheduler != nullptr);
+  QOS_EXPECTS(options.shaping.delta > 0);
+  if (options.make_custom_scheduler != nullptr) {
+    std::unique_ptr<Scheduler> scheduler = options.make_custom_scheduler();
+    QOS_CHECK(scheduler != nullptr);
+    return scheduler;
   }
+  if (options.use_degraded_admission) {
+    const double server_iops =
+        options.server_iops > 0
+            ? options.server_iops
+            : options.cmin_iops + options.shaping.resolved_headroom_iops();
+    return std::make_unique<DegradedRttScheduler>(
+        options.cmin_iops, options.shaping.delta, server_iops,
+        options.degraded);
+  }
+  return make_scheduler(options.shaping, options.cmin_iops);
+}
+
+}  // namespace
+
+// kArrival / kDispatch / kCompletion are the engine's own events (the
+// simulator emits them outside the scheduler); the core sends them straight
+// downstream, exactly as simulate() does.
+Shaper::Shaper(const ShaperOptions& options, Clock& clock)
+    : options_(wired(options)),
+      clock_(&clock),
+      capture_(std::make_unique<DecisionCapture>(
+          options_.shaping.effective_sink())),
+      scheduler_(make_backend(options_)),
+      core_(*scheduler_, options_.shaping.effective_sink()) {
   // The capture sink must see the scheduler's admission events even when
   // the caller attached no observability; re-attach unconditionally (the
   // capture chains to the configured downstream, so nothing is lost).
   scheduler_->attach_observability(capture_.get(), options_.shaping.registry);
-  // kArrival / kDispatch / kCompletion are the engine's own events (the
-  // simulator emits them outside the scheduler); they go straight
-  // downstream, exactly as simulate() sends them.
-  probe_ = Probe(options_.shaping.effective_sink());
-  idle_.resize(static_cast<std::size_t>(scheduler_->server_count()));
-  for (std::size_t s = 0; s < idle_.size(); ++s)
-    idle_[s] = static_cast<int>(s);
 }
 
 Shaper::~Shaper() = default;
@@ -108,13 +117,7 @@ Decision Shaper::admit_locked(const Request& r, Time now) {
   }
   Request stamped = r;
   stamped.arrival = now;
-  if (probe_) {
-    probe_.emit({.time = now,
-                 .seq = stamped.seq,
-                 .client = stamped.client,
-                 .kind = EventKind::kArrival});
-  }
-  scheduler_->on_arrival(stamped, now);
+  core_.arrive(stamped, now);
   Decision d = capture_->last();
   QOS_CHECK(d.seq == stamped.seq);  // every on_arrival emits its decision
   if (d.admit == Admit::kQ1) {
@@ -162,40 +165,13 @@ std::vector<Decision> Shaper::admit_batch(std::span<const Request> batch) {
 
 void Shaper::poll_dispatch_locked(Time now,
                                   std::vector<DispatchCommand>& out) {
-  // Same fixed point as the simulator's fill_servers: offer work to every
-  // idle backend (ascending) until no backend accepts — a dispatch can
-  // change scheduler state (Miser slack), so one pass is not enough.  The
-  // offer sequence on the scheduler is identical, which the replay
-  // differential depends on.
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (std::size_t k = 0; k < idle_.size();) {
-      const int s = idle_[k];
-      auto d = scheduler_->next_for(s, now);
-      if (!d) {
-        ++k;
-        continue;
-      }
-      idle_.erase(idle_.begin() + static_cast<std::ptrdiff_t>(k));
-      ++busy_;
-      if (d->klass == ServiceClass::kOverflow) {
-        QOS_CHECK(q2_backlog_ > 0);
-        --q2_backlog_;
-      }
-      if (probe_) {
-        probe_.emit({.time = now,
-                     .seq = d->request.seq,
-                     .a = now - d->request.arrival,
-                     .client = d->request.client,
-                     .kind = EventKind::kDispatch,
-                     .klass = d->klass,
-                     .server = static_cast<std::uint8_t>(s)});
-      }
-      out.push_back(DispatchCommand{d->request, d->klass, s});
-      progress = true;
+  core_.fill(now, [this, &out](int s, const Scheduler::Dispatch& d) {
+    if (d.klass == ServiceClass::kOverflow) {
+      QOS_CHECK(q2_backlog_ > 0);
+      --q2_backlog_;
     }
-  }
+    out.push_back(DispatchCommand{d.request, d.klass, s});
+  });
 }
 
 std::vector<DispatchCommand> Shaper::poll_dispatch(Time now) {
@@ -220,20 +196,9 @@ void Shaper::on_completion(const Request& r, ServiceClass klass, int server,
 
 void Shaper::on_completion_locked(const Request& r, ServiceClass klass,
                                   int server, Time now) {
-  QOS_EXPECTS(server >= 0 && server < scheduler_->server_count());
-  QOS_EXPECTS(!std::binary_search(idle_.begin(), idle_.end(), server));
-  if (probe_) {
-    probe_.emit({.time = now,
-                 .seq = r.seq,
-                 .a = now - r.arrival,
-                 .client = r.client,
-                 .kind = EventKind::kCompletion,
-                 .klass = klass,
-                 .server = static_cast<std::uint8_t>(server)});
-  }
-  idle_.insert(std::lower_bound(idle_.begin(), idle_.end(), server), server);
-  --busy_;
-  scheduler_->on_complete(r, klass, server, now);
+  QOS_EXPECTS(server >= 0 && server < core_.server_count());
+  QOS_EXPECTS(!core_.idle(server));
+  core_.complete(r, klass, server, now);
 }
 
 void Shaper::on_completion(const Request& r, ServiceClass klass,
@@ -250,12 +215,12 @@ void Shaper::reconfigure(const std::function<void(Scheduler&, Time)>& fn) {
 
 int Shaper::server_count() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return scheduler_->server_count();
+  return core_.server_count();
 }
 
 int Shaper::busy_servers() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return busy_;
+  return core_.busy();
 }
 
 std::size_t Shaper::q2_backlog() const {

@@ -11,13 +11,16 @@
 //   on_completion(...)                 report a finished service
 //
 // The policy backend is the *same* scheduler object shape_and_run builds
-// (make_scheduler / DegradedRttScheduler) — the Shaper adds no admission
-// logic of its own, it only re-frames the scheduler's callbacks as an
-// imperative API.  That is a provable claim, not a slogan: replay_trace()
-// (online/replay.h) drives a Shaper with a VirtualClock from a trace and
-// the differential tests assert the decisions, the completion records and
-// the emitted event stream are bit-identical to shape_and_run's, per
-// policy.
+// (make_scheduler / DegradedRttScheduler), and the Shaper makes its calls
+// on the *same* DispatchCore (sim/dispatch_core.h) the simulator's engine
+// uses: admit is DispatchCore::arrive, poll_dispatch is its dispatch fixed
+// point, on_completion is its complete.  The Shaper adds only what serving
+// needs around that core — the bounded-Q2 shed check before arrive, the
+// decision capture, counters, a lock and caller-input checks.  The claim
+// is proved, not asserted: replay_trace() (online/replay.h) runs a Shaper
+// inside the simulator's own engine from a trace, and the differential
+// tests assert the decisions, the completion records and the emitted event
+// stream are bit-identical to shape_and_run's, per policy.
 //
 // Threading: all public methods are thread-safe behind one internal mutex
 // (uncontended cost is part of what bench/online_loadgen measures).  Event
@@ -40,6 +43,7 @@
 #include "core/shaper.h"
 #include "fault/degraded_rtt.h"
 #include "obs/sink.h"
+#include "sim/dispatch_core.h"
 #include "sim/scheduler.h"
 #include "util/clock.h"
 #include "util/time.h"
@@ -206,9 +210,7 @@ class Shaper {
   mutable std::mutex mutex_;
   std::unique_ptr<DecisionCapture> capture_;
   std::unique_ptr<Scheduler> scheduler_;
-  Probe probe_;                ///< kArrival/kDispatch/kCompletion emission
-  std::vector<int> idle_;      ///< idle backend indices, ascending
-  int busy_ = 0;
+  DispatchCore core_;          ///< the simulator's scheduler calls
   std::size_t q2_backlog_ = 0;
   std::uint64_t admitted_q1_ = 0;
   std::uint64_t admitted_q2_ = 0;

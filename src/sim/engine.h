@@ -1,26 +1,38 @@
 // Resumable event core — the simulate() loop as a feedable object.
 //
-// SimEngine holds exactly the state the one-shot simulate() loop kept on its
-// stack: the busy-server completion min-heap, the sorted idle free list, the
-// per-slot in-flight records and the VirtualClock.  Arrivals are *pushed*
-// (in non-decreasing order) instead of being read from a materialized Trace,
-// and the event loop is cut at an arbitrary virtual-time limit:
-// advance_until(T) retires every event strictly before T and then returns,
-// leaving the engine resumable from T.
+// BasicSimEngine holds the time-and-order half of the event loop: the
+// buffered arrivals, the busy-server completion min-heap, the per-slot
+// in-flight records, the server models and the VirtualClock.  Arrivals are
+// *pushed* (in non-decreasing order) instead of being read from a
+// materialized Trace, and the loop is cut at an arbitrary virtual-time
+// limit: advance_until(T) retires every event strictly before T and then
+// returns, leaving the engine resumable from T.
 //
-// That one generalization serves three drivers with a single event order:
-//   * simulate(Trace, ...)            — push each request, drain to the end;
-//   * stream::simulate_stream(...)    — pull from a RequestStream, pushing
-//     each request after retiring everything before its arrival, so only the
-//     same-instant arrival batch is ever buffered;
-//   * stream::simulate_sharded(...)   — one engine per tenant lane advancing
-//     under a conservative virtual-time barrier whose windows are sized by
-//     work on a lookahead grid, where advance_until(E) to the window's edge
-//     E is the barrier step.
-// Because all three call the identical member functions in the identical
-// order, streamed and sharded runs are bit-identical to the materialized
-// single-threaded reference by construction (tests/test_stream.cpp,
-// tests/test_sharded_sim.cpp).
+// The scheduler-facing half — the idle list, the dispatch fixed point and
+// the kArrival / kDispatch / kCompletion emission — lives in a *front* the
+// engine calls at each event:
+//
+//   int  server_count() const;
+//   void arrive(const Request& r, Time now);
+//   void complete(const Request& r, ServiceClass klass, int server,
+//                 Time now);
+//   template <class Started> void fill(Time now, Started&& started);
+//
+// where fill calls started(server, Scheduler::Dispatch) once per dispatch it
+// makes.  There are two fronts, over one loop:
+//   * SimEngine = BasicSimEngine<DispatchCore> (sim/dispatch_core.h) drives a
+//     Scheduler directly.  It serves simulate(Trace, ...), the streamed
+//     stream::simulate_stream(...) (pull a request, retire everything before
+//     its arrival, push it) and stream::simulate_sharded(...) (one engine per
+//     tenant lane, advance_until(E) to each barrier window's edge E).  All
+//     three call the identical member functions in the identical order, so
+//     streamed and sharded runs are bit-identical to the materialized
+//     single-threaded reference by construction (tests/test_stream.cpp,
+//     tests/test_sharded_sim.cpp).
+//   * online::replay_trace's front (online/replay.cpp) routes the same calls
+//     through an online::Shaper's public API, and the Shaper makes them on a
+//     DispatchCore of its own — so the online≡offline differential holds by
+//     construction too (tests/test_online_shaper.cpp).
 //
 // Event order contract (unchanged from the original loop): events are
 // ordered by time; at one instant, completions retire first (in server-index
@@ -30,11 +42,14 @@
 #pragma once
 
 #include <algorithm>
+#include <concepts>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "obs/sink.h"
 #include "sim/completion.h"
+#include "sim/dispatch_core.h"
 #include "sim/scheduler.h"
 #include "sim/server.h"
 #include "trace/request.h"
@@ -45,31 +60,37 @@
 
 namespace qos {
 
-class SimEngine {
+template <class Front>
+class BasicSimEngine {
  public:
-  /// `servers[i]` backs scheduler server index i; sizes must match.  When
-  /// `sink` is non-null the engine emits kArrival / kDispatch / kCompletion
-  /// events and forwards the sink to every server (Server::
-  /// attach_observability), exactly as simulate() documents.  The scheduler
-  /// and servers are borrowed and must outlive the engine.
-  SimEngine(Scheduler& scheduler, std::span<Server* const> servers,
-            EventSink* sink = nullptr)
-      : scheduler_(scheduler),
+  /// `servers[i]` backs the front's server index i; sizes must match.  When
+  /// `sink` is non-null it is forwarded to every server (Server::
+  /// attach_observability) so server-side events share the front's stream.
+  /// The servers are borrowed and must outlive the engine.
+  BasicSimEngine(Front front, std::span<Server* const> servers,
+                 EventSink* sink)
+      : front_(std::move(front)),
         servers_(servers.begin(), servers.end()),
-        probe_(sink),
         slot_(servers.size()),
-        pending_(static_cast<int>(servers.size())),
-        idle_(servers.size()) {
-    QOS_EXPECTS(static_cast<int>(servers.size()) == scheduler.server_count());
+        pending_(static_cast<int>(servers.size())) {
+    QOS_EXPECTS(static_cast<int>(servers.size()) == front_.server_count());
     QOS_EXPECTS(!servers.empty());
     if (sink != nullptr)
       for (Server* s : servers_) s->attach_observability(sink);
-    for (std::size_t s = 0; s < servers_.size(); ++s)
-      idle_[s] = static_cast<int>(s);
   }
 
-  SimEngine(const SimEngine&) = delete;
-  SimEngine& operator=(const SimEngine&) = delete;
+  /// The simulator's engine: `scheduler` driven through a DispatchCore.
+  /// When `sink` is non-null the engine emits kArrival / kDispatch /
+  /// kCompletion events and forwards the sink to every server, exactly as
+  /// simulate() documents.  The scheduler is borrowed and must outlive the
+  /// engine.
+  BasicSimEngine(Scheduler& scheduler, std::span<Server* const> servers,
+                 EventSink* sink = nullptr)
+    requires std::same_as<Front, DispatchCore>
+      : BasicSimEngine(DispatchCore(scheduler, sink), servers, sink) {}
+
+  BasicSimEngine(const BasicSimEngine&) = delete;
+  BasicSimEngine& operator=(const BasicSimEngine&) = delete;
 
   /// Buffer an arrival.  Arrivals must be pushed in non-decreasing order and
   /// never before the engine's current instant — an arrival the clock has
@@ -112,37 +133,37 @@ class SimEngine {
         const CompletionRecord& record = slot_[static_cast<std::size_t>(s)];
         ++completions_;
         out(record);
-        idle_.insert(std::lower_bound(idle_.begin(), idle_.end(), s), s);
-        if (probe_) {
-          probe_.emit({.time = now,
-                       .seq = record.seq,
-                       .a = record.response_time(),
-                       .client = record.client,
-                       .kind = EventKind::kCompletion,
-                       .klass = record.klass,
-                       .server = static_cast<std::uint8_t>(s)});
-        }
-        scheduler_.on_complete(Request{.arrival = record.arrival,
-                                       .seq = record.seq,
-                                       .client = record.client},
-                               record.klass, s, now);
+        front_.complete(Request{.arrival = record.arrival,
+                                .seq = record.seq,
+                                .client = record.client},
+                        record.klass, s, now);
       }
 
       // Then all arrivals at `now`.
       while (!arrivals_.empty() && arrivals_.front().arrival == now) {
-        const Request& r = arrivals_.front();
         ++arrivals_delivered_;
-        if (probe_) {
-          probe_.emit({.time = now,
-                       .seq = r.seq,
-                       .client = r.client,
-                       .kind = EventKind::kArrival});
-        }
-        scheduler_.on_arrival(r, now);
+        front_.arrive(arrivals_.front(), now);
         arrivals_.pop_front();
       }
 
-      fill_servers(now);
+      // Then refill idle servers, asking the server models for durations in
+      // dispatch order (they are stateful).
+      front_.fill(now, [this, now](int s, const Scheduler::Dispatch& d) {
+        const Time dur = servers_[static_cast<std::size_t>(s)]
+                             ->service_duration(d.request, now);
+        QOS_CHECK(dur > 0);
+        slot_[static_cast<std::size_t>(s)] = CompletionRecord{
+            .seq = d.request.seq,
+            .client = d.request.client,
+            .arrival = d.request.arrival,
+            .start = now,
+            .finish = now + dur,
+            .klass = d.klass,
+            .server = static_cast<std::uint8_t>(s),
+        };
+        pending_.push(s, now + dur);
+        ++dispatches_;
+      });
     }
   }
 
@@ -156,63 +177,19 @@ class SimEngine {
   }
 
  private:
-  // Offer work to every idle server until no server accepts.  A dispatch on
-  // one server can change scheduler state (e.g. Miser slack), so loop to a
-  // fixed point.  Visiting only the idle list (kept sorted ascending)
-  // preserves the original full-scan call order on the scheduler exactly.
-  void fill_servers(Time now) {
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (std::size_t k = 0; k < idle_.size();) {
-        const int s = idle_[k];
-        auto d = scheduler_.next_for(s, now);
-        if (!d) {
-          ++k;
-          continue;
-        }
-        const Time dur = servers_[static_cast<std::size_t>(s)]
-                             ->service_duration(d->request, now);
-        QOS_CHECK(dur > 0);
-        slot_[static_cast<std::size_t>(s)] = CompletionRecord{
-            .seq = d->request.seq,
-            .client = d->request.client,
-            .arrival = d->request.arrival,
-            .start = now,
-            .finish = now + dur,
-            .klass = d->klass,
-            .server = static_cast<std::uint8_t>(s),
-        };
-        pending_.push(s, now + dur);
-        ++dispatches_;
-        idle_.erase(idle_.begin() + static_cast<std::ptrdiff_t>(k));
-        if (probe_) {
-          probe_.emit({.time = now,
-                       .seq = d->request.seq,
-                       .a = now - d->request.arrival,
-                       .client = d->request.client,
-                       .kind = EventKind::kDispatch,
-                       .klass = d->klass,
-                       .server = static_cast<std::uint8_t>(s)});
-        }
-        progress = true;
-      }
-    }
-  }
-
-  Scheduler& scheduler_;
+  Front front_;
   std::vector<Server*> servers_;
-  Probe probe_;
 
   RingBuffer<Request> arrivals_;         ///< buffered, non-decreasing
   std::vector<CompletionRecord> slot_;   ///< in-flight record per server
   IndexedMinHeap<Time> pending_;         ///< busy servers keyed by finish
-  std::vector<int> idle_;                ///< idle servers, ascending
   VirtualClock clock_;
 
   std::uint64_t arrivals_delivered_ = 0;
   std::uint64_t dispatches_ = 0;
   std::uint64_t completions_ = 0;
 };
+
+using SimEngine = BasicSimEngine<DispatchCore>;
 
 }  // namespace qos

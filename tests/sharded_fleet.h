@@ -41,9 +41,6 @@ inline Workload workload(std::uint32_t client) {
 
 inline bool underprovisioned(std::uint32_t client) { return client % 5 == 4; }
 
-/// Server construction as shape_and_run does it: Split gets a dedicated
-/// primary at Cmin plus an overflow server at dC, the shared-server policies
-/// one server at Cmin + dC.
 inline stream::TenantSim build_lane(std::uint32_t client) {
   constexpr Policy kPolicies[] = {Policy::kMiser, Policy::kSplit,
                                   Policy::kFairQueue, Policy::kFcfs};
@@ -55,16 +52,9 @@ inline stream::TenantSim build_lane(std::uint32_t client) {
     cmin /= 8;  // WS 175, FT 100, OM 300 IOPS in all, against 330/110/534
     config.headroom_override_iops = cmin;
   }
-  const double headroom = config.resolved_headroom_iops();
   stream::TenantSim sim;
   sim.scheduler = make_scheduler(config, cmin);
-  if (sim.scheduler->server_count() == 2) {
-    sim.servers.push_back(std::make_unique<ConstantRateServer>(cmin));
-    sim.servers.push_back(std::make_unique<ConstantRateServer>(headroom));
-  } else {
-    sim.servers.push_back(
-        std::make_unique<ConstantRateServer>(cmin + headroom));
-  }
+  sim.servers = make_servers(config, cmin, sim.scheduler->server_count());
   return sim;
 }
 

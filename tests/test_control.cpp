@@ -6,7 +6,7 @@
 
 #include <bit>
 #include <cmath>
-#include <optional>
+#include <memory>
 #include <vector>
 
 #include "control/control_loop.h"
@@ -16,11 +16,11 @@
 #include "core/capacity.h"
 #include "core/multi_tenant.h"
 #include "obs/sink.h"
+#include "online/replay.h"
 #include "online/shaper.h"
 #include "runner/parallel_capacity.h"
 #include "runner/result_cache.h"
 #include "runner/thread_pool.h"
-#include "sim/server.h"
 #include "trace/generator.h"
 #include "util/clock.h"
 #include "util/time.h"
@@ -379,12 +379,10 @@ struct LateSink final : EventSink {
 
 TEST(ControlPlane, OnlineShaperMatchesOfflineHarness) {
   // The *same* ControlLoop class closes the loop on both sides: offline as
-  // simulate()'s sink, online as the Shaper's sink.  Drive the identical
-  // merged trace through online::Shaper (admit / poll_dispatch /
-  // on_completion against one ConstantRateServer) with the simulator's
-  // event order (completions before arrivals at equal instants, dispatch
-  // after both) and assert completions, reprovision count and final
-  // allocations are bit-identical to run_control_plane's.
+  // simulate()'s sink, online as the Shaper's sink.  Replay the identical
+  // merged trace through online::Shaper (one server at planned + dC) and
+  // assert completions, reprovision count, demotions and final allocations
+  // are bit-identical to run_control_plane's.
   const std::vector<Trace> tenants = shifting_tenants(4, 12 * kUsPerSec, 21);
   ControlPlaneConfig config = harness_config(ControlMode::kController);
 
@@ -410,88 +408,51 @@ TEST(ControlPlane, OnlineShaperMatchesOfflineHarness) {
   ctrl_cfg.delta = config.delta;
   QosController controller(ctrl_cfg, allocations, total);
 
-  LateSink late;
-  online::ShaperOptions options;
-  options.shaping.delta = config.delta;
-  options.shaping.sink = &late;
-  ControlledTenantScheduler* raw_sched = nullptr;
-  options.make_custom_scheduler = [&]() {
-    auto s = std::make_unique<ControlledTenantScheduler>(
-        allocations, config.delta, total);
-    raw_sched = s.get();
-    return std::unique_ptr<Scheduler>(std::move(s));
-  };
-  VirtualClock clock;
-  online::Shaper shaper(options, clock);
-  ASSERT_NE(raw_sched, nullptr);
-
   ControlLoopConfig loop_config;
   loop_config.epoch = config.controller.epoch;
   loop_config.sla_fraction = config.fraction;
   loop_config.delta = config.delta;
   loop_config.breach = config.breach;
-  ControlLoop loop(loop_config, tenants.size(), raw_sched, &controller,
-                   nullptr);
-  late.target = &loop;  // every Shaper event now drives the loop
 
-  const Trace merged = Trace::merge(tenants);
-  ConstantRateServer server(total);
-
-  struct InFlight {
-    Request request;
-    ServiceClass klass;
-    Time finish;
+  LateSink late;
+  std::unique_ptr<ControlLoop> loop;
+  online::ShaperOptions options;
+  options.shaping.delta = config.delta;
+  options.shaping.sink = &late;
+  options.cmin_iops = planned_total;  // one server at planned + dC = total
+  options.make_custom_scheduler = [&]() {
+    auto s = std::make_unique<ControlledTenantScheduler>(allocations,
+                                                         config.delta, total);
+    loop = std::make_unique<ControlLoop>(loop_config, tenants.size(), s.get(),
+                                         &controller, nullptr);
+    late.target = loop.get();  // every Shaper event now drives the loop
+    return std::unique_ptr<Scheduler>(std::move(s));
   };
-  std::optional<InFlight> in_flight;  // single backend => at most one
-  std::size_t next_arrival = 0;
-  std::vector<CompletionRecord> completions;
+  const online::ReplayOutcome online =
+      online::replay_trace(Trace::merge(tenants), options);
+  ASSERT_NE(loop, nullptr);
 
-  auto drain = [&](Time now) {
-    for (const online::DispatchCommand& cmd : shaper.poll_dispatch(now)) {
-      const Time duration = server.service_duration(cmd.request, now);
-      in_flight = InFlight{cmd.request, cmd.klass, now + duration};
-      completions.push_back({cmd.request.seq, cmd.request.client,
-                             cmd.request.arrival, now, now + duration,
-                             cmd.klass, 0});
-    }
-  };
-
-  while (next_arrival < merged.size() || in_flight.has_value()) {
-    const Time arrival_t =
-        next_arrival < merged.size() ? merged[next_arrival].arrival : kTimeMax;
-    const Time completion_t =
-        in_flight.has_value() ? in_flight->finish : kTimeMax;
-    const Time now = std::min(arrival_t, completion_t);
-    clock.advance_to(now);
-    // Completions strictly before arrivals at the same instant, dispatch
-    // only after both — simulate()'s loop shape.
-    if (in_flight.has_value() && in_flight->finish == now) {
-      const InFlight f = *in_flight;
-      in_flight.reset();
-      shaper.on_completion(f.request, f.klass, 0, now);
-    }
-    while (next_arrival < merged.size() &&
-           merged[next_arrival].arrival == now) {
-      (void)shaper.admit(merged[next_arrival], now);
-      ++next_arrival;
-    }
-    drain(now);
-  }
-
+  const std::vector<CompletionRecord>& completions = online.sim.completions;
   ASSERT_EQ(completions.size(), offline.sim.completions.size());
   for (std::size_t i = 0; i < completions.size(); ++i) {
     EXPECT_EQ(completions[i].seq, offline.sim.completions[i].seq);
     EXPECT_EQ(completions[i].finish, offline.sim.completions[i].finish);
     EXPECT_EQ(completions[i].klass, offline.sim.completions[i].klass);
   }
-  EXPECT_EQ(loop.reprovisions(), offline.reprovisions);
-  EXPECT_GT(loop.reprovisions(), 0u);
+  EXPECT_EQ(loop->reprovisions(), offline.reprovisions);
+  EXPECT_GT(loop->reprovisions(), 0u);
+  // The scheduler died with the replay's Shaper; every epoch applied the
+  // controller's allocation to it through set_tenant_capacity, so compare
+  // that vector.
   for (std::size_t t = 0; t < tenants.size(); ++t) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(raw_sched->allocation(t)),
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(controller.allocation()[t]),
               std::bit_cast<std::uint64_t>(offline.tenants[t].final_iops))
         << "tenant " << t;
   }
-  EXPECT_EQ(shaper.demotions(), offline.demotions);
+  std::uint64_t demotions = 0;
+  for (const online::Decision& d : online.decisions)
+    demotions += d.demoted ? 1 : 0;
+  EXPECT_EQ(demotions, offline.demotions);
 }
 
 TEST(ControlPlane, ShaperReconfigureAppliesAtomically) {

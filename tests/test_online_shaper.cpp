@@ -265,6 +265,27 @@ TEST(OnlineShaper, DegradedAdmissionReplaySmoke) {
   EXPECT_GT(q1, 0u);
 }
 
+TEST(OnlineShaper, CustomSchedulerReplaysOnItsOwnServers) {
+  // make_custom_scheduler overrides shaping.policy, so the replay must
+  // provision the custom scheduler's one server, not Split's two — and then
+  // run exactly as shape_and_run runs that scheduler's policy.
+  const Trace trace = burst_trace();
+  ShapingConfig miser;
+  miser.policy = Policy::kMiser;
+  miser.capacity_override_iops = 600;
+  const ShapingOutcome offline = shape_and_run(trace, miser);
+
+  ShaperOptions options;
+  options.shaping.policy = Policy::kSplit;
+  options.cmin_iops = 600;
+  options.make_custom_scheduler = [miser] {
+    return make_scheduler(miser, miser.capacity_override_iops);
+  };
+  const ReplayOutcome out = online::replay_trace(trace, options);
+  ASSERT_EQ(out.sim.completions.size(), trace.size());
+  EXPECT_EQ(out.sim.completions, offline.sim.completions);
+}
+
 TEST(OnlineShaper, ConvenienceOverloadsStampFromTheClock) {
   ShaperOptions options;
   options.cmin_iops = 500;

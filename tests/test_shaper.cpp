@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "analysis/response_stats.h"
+#include "sim/server.h"
 #include "trace/generator.h"
 
 namespace qos {
@@ -116,6 +119,28 @@ TEST(Shaper, MakeSchedulerWithExplicitHeadroom) {
   auto split = make_scheduler(config, 100);
   EXPECT_EQ(split->server_count(), 2);
   EXPECT_DOUBLE_EQ(config.resolved_headroom_iops(), 20.0);
+}
+
+TEST(Shaper, MakeServersProvisionsBySchedulerServerCount) {
+  ShapingConfig config;
+  config.delta = from_ms(10);  // dC = 1/delta = 100 IOPS
+  const auto rate = [](const std::unique_ptr<Server>& s) {
+    return dynamic_cast<const ConstantRateServer&>(*s).capacity_iops();
+  };
+  const auto shared = make_servers(config, 500, 1);
+  ASSERT_EQ(shared.size(), 1u);
+  EXPECT_DOUBLE_EQ(rate(shared[0]), 600.0);
+  const auto split = make_servers(config, 500, 2);
+  ASSERT_EQ(split.size(), 2u);
+  EXPECT_DOUBLE_EQ(rate(split[0]), 500.0);
+  EXPECT_DOUBLE_EQ(rate(split[1]), 100.0);
+
+  // Without headroom Split's overflow server still needs a positive rate.
+  config.headroom_override_iops = 0;
+  const auto no_headroom = make_servers(config, 500, 2);
+  ASSERT_EQ(no_headroom.size(), 2u);
+  EXPECT_DOUBLE_EQ(rate(no_headroom[1]), 1.0);
+  EXPECT_GT(no_headroom[1]->service_duration(Request{}, 0), 0);
 }
 
 TEST(Shaper, ObservedRunBuildsReportAndReconciles) {

@@ -18,7 +18,6 @@
 #include "obs/sink.h"
 #include "obs/trace.h"
 #include "sharded_fleet.h"
-#include "sim/server.h"
 #include "stream/gen_stream.h"
 #include "stream/sharded.h"
 #include "stream/stream.h"
@@ -56,14 +55,7 @@ TenantSim build_tenant(std::uint32_t client) {
   config.policy = spec.policy;
   TenantSim sim;
   sim.scheduler = make_scheduler(config, spec.cmin);
-  const double headroom = config.resolved_headroom_iops();
-  if (sim.scheduler->server_count() == 2) {
-    sim.servers.push_back(std::make_unique<ConstantRateServer>(spec.cmin));
-    sim.servers.push_back(std::make_unique<ConstantRateServer>(headroom));
-  } else {
-    sim.servers.push_back(
-        std::make_unique<ConstantRateServer>(spec.cmin + headroom));
-  }
+  sim.servers = make_servers(config, spec.cmin, sim.scheduler->server_count());
   return sim;
 }
 

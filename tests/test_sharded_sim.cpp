@@ -41,23 +41,13 @@ const TenantSpec kTenants[] = {
     {Workload::kOpenMail, Policy::kFairQueue, 1'200},
 };
 
-// Mirrors shape_and_run's server construction: Split gets a dedicated
-// primary at Cmin plus an overflow server at dC; shared-server policies get
-// one server at Cmin + dC.
 TenantSim build_tenant(std::uint32_t client) {
   const TenantSpec& spec = kTenants[client];
   ShapingConfig config;
   config.policy = spec.policy;
   TenantSim sim;
   sim.scheduler = make_scheduler(config, spec.cmin);
-  const double headroom = config.resolved_headroom_iops();
-  if (sim.scheduler->server_count() == 2) {
-    sim.servers.push_back(std::make_unique<ConstantRateServer>(spec.cmin));
-    sim.servers.push_back(std::make_unique<ConstantRateServer>(headroom));
-  } else {
-    sim.servers.push_back(
-        std::make_unique<ConstantRateServer>(spec.cmin + headroom));
-  }
+  sim.servers = make_servers(config, spec.cmin, sim.scheduler->server_count());
   return sim;
 }
 

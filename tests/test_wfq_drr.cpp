@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "fq/drr.h"
-#include "fq/token_bucket.h"
 #include "fq/wfq.h"
 
 namespace qos {
@@ -123,49 +122,6 @@ TEST(Drr, IdleFlowLosesDeficit) {
     if (d->flow == 0) ++flow0;
   }
   EXPECT_NEAR(flow0, 10, 2);
-}
-
-// ---------------------------------------------------------------------------
-// TokenBucket
-
-TEST(TokenBucket, StartsFull) {
-  TokenBucket tb(5, 100);
-  EXPECT_TRUE(tb.conforms(5, 0));
-  EXPECT_FALSE(tb.conforms(6, 0));
-}
-
-TEST(TokenBucket, ConsumeAndRefill) {
-  TokenBucket tb(5, 100);  // 100 tokens/s
-  tb.consume(5, 0);
-  EXPECT_FALSE(tb.conforms(1, 0));
-  // After 10 ms one token has been earned.
-  EXPECT_TRUE(tb.conforms(1, 10'000));
-  EXPECT_FALSE(tb.conforms(2, 10'000));
-}
-
-TEST(TokenBucket, CapsAtSigma) {
-  TokenBucket tb(5, 100);
-  tb.consume(5, 0);
-  // After a long idle the bucket holds sigma, not more.
-  EXPECT_DOUBLE_EQ(tb.tokens(10 * kUsPerSec), 5.0);
-}
-
-TEST(TokenBucket, DelayFormula) {
-  TokenBucket tb(2, 100);
-  tb.consume(2, 0);
-  // Need 1 token at 100/s: 10 ms.
-  EXPECT_EQ(tb.time_until_conforming(1, 0), 10'000);
-  EXPECT_EQ(tb.time_until_conforming(2, 0), 20'000);
-  // Already conforming => 0.
-  EXPECT_EQ(tb.time_until_conforming(1, 20'000), 0);
-}
-
-TEST(TokenBucket, DebtAllowed) {
-  TokenBucket tb(1, 100);
-  tb.consume(3, 0);  // forced through
-  EXPECT_LT(tb.tokens(0), 0);
-  // Debt must be repaid before conformance returns: 2 owed + 1 needed.
-  EXPECT_EQ(tb.time_until_conforming(1, 0), 30'000);
 }
 
 }  // namespace

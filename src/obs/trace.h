@@ -11,8 +11,9 @@
 //
 // plus fault-window and demotion annotations from the fault layer, and the
 // Miser slack-accounting series (one sample per slack-funded Q2 dispatch).
-// Spans are what the exporters (obs/trace_export.h) and the deadline-miss
-// attribution (obs/trace_analysis.h) consume.
+// Spans are what the QOSTRC02 trace container and its Perfetto export
+// (obs/trace_stream.h) and the deadline-miss attribution
+// (obs/trace_analysis.h) consume.
 //
 // Cost model: tracing rides the existing Probe guard — with no Tracer
 // attached the pipeline pays exactly the one branch per hook it already

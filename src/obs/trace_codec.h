@@ -1,12 +1,9 @@
-// Shared binary codec for the trace containers (internal).
+// Binary record codec for the QOSTRC02 trace container (internal).
 //
-// Both trace formats — the materialized QOSTRC01 container
-// (obs/trace_export.h) and the chunked streaming QOSTRC02 container
-// (obs/trace_stream.h) — encode the same fixed-width little-endian records;
-// this header is the single definition of that wire format so the two
-// containers cannot drift.  A RequestSpan record is its fields in
-// declaration order; klass/server/admitted/demoted are one byte each.
-// Not installed API: include from src/obs/*.cpp only.
+// The single definition of the fixed-width little-endian record encodings
+// that obs/trace_stream.cpp frames into chunks.  A RequestSpan record is its
+// fields in declaration order; klass/server/admitted/demoted are one byte
+// each.  Not installed API: include from src/obs/*.cpp only.
 #pragma once
 
 #include <cstddef>
@@ -16,15 +13,6 @@
 #include "obs/trace.h"
 
 namespace qos::trace_codec {
-
-inline std::uint64_t fnv1a(const char* data, std::size_t n) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 inline void put_u64(std::string& out, std::uint64_t v) {
   // Explicit little-endian byte construction (not a memcpy of v) keeps the

@@ -34,10 +34,8 @@ constexpr char kChunkFaults = 'F';
 constexpr char kChunkSlack = 'K';
 constexpr char kChunkFooter = 'E';
 
-/// Upper bound on a single chunk payload: far above anything the writer
-/// frames (records_per_chunk * ~100 B), low enough that a corrupt length
-/// field cannot OOM the reader.
-constexpr std::uint64_t kMaxChunkPayload = std::uint64_t{1} << 30;
+/// Chunk framing around the payload: u8 type, u64 length, u64 checksum.
+constexpr std::uint64_t kChunkFrameBytes = 1 + 8 + 8;
 
 /// Word-wise FNV-1a variant over the chunk payload — part of the QOSTRC02
 /// format.  Folding 8 bytes per multiply (plus a padded tail word carrying
@@ -89,6 +87,12 @@ bool read_u64(std::istream& in, std::uint64_t& v) {
     v |= static_cast<std::uint64_t>(static_cast<unsigned char>(buf[i]))
          << (8 * i);
   return true;
+}
+
+bool read_magic(std::istream& in) {
+  char magic[kMagicLen];
+  return read_exact(in, magic, kMagicLen) &&
+         std::memcmp(magic, kMagic, kMagicLen) == 0;
 }
 
 }  // namespace
@@ -173,22 +177,35 @@ void ChunkedTraceWriter::finish(std::uint64_t observed,
   finished_ = true;
 }
 
-// ---- cursor scan ----------------------------------------------------------
-
-bool is_chunked_trace(const std::string& head) {
-  return head.size() >= kMagicLen &&
-         head.compare(0, kMagicLen, kMagic, kMagicLen) == 0;
+void write_trace_stream(std::ostream& out, const TraceData& trace) {
+  ChunkedTraceWriter writer(out, StreamTraceMeta{trace.label, trace.trace_name,
+                                                 trace.delta,
+                                                 trace.sample_every});
+  for (const RequestSpan& s : trace.spans) writer.on_span(s);
+  for (const FaultSpan& f : trace.faults) writer.on_fault(f);
+  for (const SlackSample& s : trace.slack) writer.on_slack(s);
+  writer.finish(trace.observed, trace.dropped);
 }
+
+// ---- cursor scan ----------------------------------------------------------
 
 std::optional<StreamTraceFooter> scan_trace_stream(
     std::istream& in, StreamTraceMeta* meta,
     const std::function<void(const RequestSpan&)>& on_span,
     const std::function<void(const FaultSpan&)>& on_fault,
     const std::function<void(const SlackSample&)>& on_slack) {
-  char magic[kMagicLen];
-  if (!read_exact(in, magic, kMagicLen) ||
-      std::string(magic, kMagicLen) != kMagic)
-    return std::nullopt;
+  // Bytes from the cursor to the end of the input.  Every chunk length is
+  // checked against what is left before anything is read, skipped or
+  // allocated, so a corrupt length fails at once.
+  const std::istream::pos_type start = in.tellg();
+  in.seekg(0, std::ios_base::end);
+  const std::streamoff size = in.tellg() - start;
+  in.seekg(start);
+  if (!in || size < 0) return std::nullopt;
+  std::uint64_t left = static_cast<std::uint64_t>(size);
+
+  if (left < kMagicLen || !read_magic(in)) return std::nullopt;
+  left -= kMagicLen;
 
   StreamTraceFooter footer;
   StreamTraceFooter counted;  // records actually decoded this scan
@@ -197,10 +214,12 @@ std::optional<StreamTraceFooter> scan_trace_stream(
   std::string payload;
 
   while (!have_footer) {
+    if (left < kChunkFrameBytes) return std::nullopt;
+    left -= kChunkFrameBytes;
     const int type = in.get();
-    if (type == std::char_traits<char>::eof()) return std::nullopt;
     std::uint64_t len = 0;
-    if (!read_u64(in, len) || len > kMaxChunkPayload) return std::nullopt;
+    if (!read_u64(in, len) || len > left) return std::nullopt;
+    left -= len;
 
     bool want = true;
     switch (type) {
@@ -282,8 +301,12 @@ std::optional<StreamTraceFooter> scan_trace_stream(
     if (!r.ok() || r.pos() != payload.size()) return std::nullopt;
   }
 
-  // The footer is the last chunk: trailing bytes mean a torn append.
-  if (in.peek() != std::char_traits<char>::eof()) return std::nullopt;
+  // The footer ends the stream: what follows is the end of the input or the
+  // next stream's magic, left unread.  Anything else is a torn append.
+  if (left != 0) {
+    if (left < kMagicLen || !read_magic(in)) return std::nullopt;
+    in.seekg(-static_cast<std::streamoff>(kMagicLen), std::ios_base::cur);
+  }
   if (!have_meta) return std::nullopt;
   // Footer totals must agree with what was actually decoded.
   if (on_span && counted.spans != footer.spans) return std::nullopt;
@@ -298,6 +321,7 @@ std::optional<StreamAnalysis> analyze_trace_stream(std::istream& in,
                                                    Time delta) {
   StreamAnalysis a;
   a.slack.min_slack = std::numeric_limits<std::int64_t>::max();
+  const std::istream::pos_type start = in.tellg();
 
   // Pass 1: faults + slack; span chunks are seeked over.
   auto pass1 = scan_trace_stream(
@@ -321,8 +345,7 @@ std::optional<StreamAnalysis> analyze_trace_stream(std::istream& in,
   // drift.
   TraceData fault_ctx;
   fault_ctx.faults = a.faults;
-  in.clear();
-  in.seekg(0);
+  in.seekg(start);
   auto pass2 = scan_trace_stream(
       in, nullptr,
       [&a, &fault_ctx, delta](const RequestSpan& s) {
@@ -387,8 +410,31 @@ std::string trace_analysis_text_stream(const StreamAnalysis& a) {
 
 namespace {
 
-/// EventWriter sibling that appends straight to an ostream, so the JSON
-/// document is never held in memory.
+/// JSON string escaping for labels (control chars, quotes, backslash).
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+/// Appends trace_event records straight to an ostream, so the JSON document
+/// is never held in memory.
 class StreamEventWriter {
  public:
   explicit StreamEventWriter(std::ostream& out) : out_(out) {}
@@ -397,14 +443,15 @@ class StreamEventWriter {
     begin();
     append("{\"ph\":\"M\",\"pid\":%d,\"name\":\"process_name\","
            "\"args\":{\"name\":\"%s\"}}",
-           pid, name.c_str());
+           pid, json_escape(name).c_str());
   }
   void meta_thread(int pid, int tid, const std::string& name) {
     begin();
     append("{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":\"thread_name\","
            "\"args\":{\"name\":\"%s\"}}",
-           pid, tid, name.c_str());
+           pid, tid, json_escape(name).c_str());
   }
+  /// Async begin/end pair: overlapping queue residencies render stacked.
   void async(int pid, int tid, std::uint64_t id, Time begin_ts, Time end_ts,
              const char* name, const char* args) {
     begin();
@@ -418,6 +465,7 @@ class StreamEventWriter {
            pid, tid, static_cast<unsigned long long>(id),
            static_cast<long long>(end_ts), name);
   }
+  /// Complete slice ("X"): service on a server track, fault windows.
   void slice(int pid, int tid, Time ts, Time dur, const char* name,
              const char* args) {
     begin();
@@ -453,7 +501,7 @@ class StreamEventWriter {
   bool first_ = true;
 };
 
-const char* stream_fault_kind_label(std::int64_t kind) {
+const char* fault_kind_label(std::int64_t kind) {
   switch (kind) {
     case 0: return "capacity_loss";
     case 1: return "stall";
@@ -462,17 +510,15 @@ const char* stream_fault_kind_label(std::int64_t kind) {
   return "fault";
 }
 
-}  // namespace
-
-bool perfetto_trace_json_stream(std::istream& trace_in,
-                                std::ostream& json_out) {
-  // Single-trace layout mirroring perfetto_trace_json's first run: pid 1 =
-  // queues, 2 = servers, 3 = faults.  Track metadata is emitted lazily on
-  // first sight (legal in trace_event JSON — viewers associate by pid/tid),
-  // which is what lets this stay single-pass and bounded.
-  json_out << "{\"traceEvents\":[\n";
-  StreamEventWriter w(json_out);
-
+/// Render the stream at the cursor as process group pid_queues (queues),
+/// pid_queues + 1 (servers), pid_queues + 2 (faults).  Track metadata is
+/// emitted lazily on first sight (legal in trace_event JSON — viewers
+/// associate by pid/tid), which is what lets this stay single-pass and
+/// bounded.
+bool stream_to_json(std::istream& trace_in, StreamEventWriter& w,
+                    int pid_queues) {
+  const int pid_servers = pid_queues + 1;
+  const int pid_faults = pid_queues + 2;
   StreamTraceMeta meta;  // filled by the meta chunk before any data chunk
   bool queues_announced = false;
   bool faults_announced = false;
@@ -485,10 +531,10 @@ bool perfetto_trace_json_stream(std::istream& trace_in,
   auto announce_queues = [&] {
     if (queues_announced) return;
     queues_announced = true;
-    w.meta_process(1, prefix() + " queues");
-    w.meta_thread(1, 1, "Q1 (primary)");
-    w.meta_thread(1, 2, "Q2 (overflow)");
-    w.meta_process(2, prefix() + " servers");
+    w.meta_process(pid_queues, prefix() + " queues");
+    w.meta_thread(pid_queues, 1, "Q1 (primary)");
+    w.meta_thread(pid_queues, 2, "Q2 (overflow)");
+    w.meta_process(pid_servers, prefix() + " servers");
   };
 
   auto on_span = [&](const RequestSpan& s) {
@@ -502,7 +548,8 @@ bool perfetto_trace_json_stream(std::istream& trace_in,
                       static_cast<unsigned long long>(s.seq),
                       static_cast<long long>(s.depth_at_decision),
                       static_cast<long long>(s.max_q1_at_decision));
-        w.async(1, queue_tid, s.seq, enq, s.service_start, "wait", args);
+        w.async(pid_queues, queue_tid, s.seq, enq, s.service_start, "wait",
+                args);
       }
       if (s.completion != kNoTime && s.completion >= s.service_start) {
         const int srv = static_cast<int>(s.server);
@@ -510,7 +557,8 @@ bool perfetto_trace_json_stream(std::istream& trace_in,
           server_announced.resize(srv + 1, false);
         if (!server_announced[srv]) {
           server_announced[srv] = true;
-          w.meta_thread(2, srv + 1, "server " + std::to_string(srv));
+          w.meta_thread(pid_servers, srv + 1,
+                        "server " + std::to_string(srv));
         }
         std::snprintf(
             args, sizeof(args),
@@ -520,8 +568,8 @@ bool perfetto_trace_json_stream(std::istream& trace_in,
             s.klass == ServiceClass::kPrimary ? "primary" : "overflow",
             static_cast<long long>(s.slack_funding),
             static_cast<long long>(s.inflation_us));
-        w.slice(2, srv + 1, s.service_start, s.completion - s.service_start,
-                "serve", args);
+        w.slice(pid_servers, srv + 1, s.service_start,
+                s.completion - s.service_start, "serve", args);
       }
     }
     if (s.demoted != 0 && s.decision != kNoTime) {
@@ -529,26 +577,41 @@ bool perfetto_trace_json_stream(std::istream& trace_in,
                     "\"seq\":%llu,\"degraded_max_q1\":%lld",
                     static_cast<unsigned long long>(s.seq),
                     static_cast<long long>(s.max_q1_at_decision));
-      w.instant(1, queue_tid, s.decision, "demote", args);
+      w.instant(pid_queues, queue_tid, s.decision, "demote", args);
     }
   };
   auto on_fault = [&](const FaultSpan& f) {
     if (!faults_announced) {
       faults_announced = true;
-      w.meta_process(3, prefix() + " faults");
-      w.meta_thread(3, 1, "windows");
+      w.meta_process(pid_faults, prefix() + " faults");
+      w.meta_thread(pid_faults, 1, "windows");
     }
     std::snprintf(args, sizeof(args), "\"severity_ppm\":%lld",
                   static_cast<long long>(f.severity_ppm));
-    w.slice(3, 1, f.begin, f.end - f.begin, stream_fault_kind_label(f.kind),
+    w.slice(pid_faults, 1, f.begin, f.end - f.begin, fault_kind_label(f.kind),
             args);
   };
 
-  auto footer = scan_trace_stream(trace_in, &meta, on_span, on_fault,
-                                  /*on_slack=*/nullptr);
+  return scan_trace_stream(trace_in, &meta, on_span, on_fault,
+                           /*on_slack=*/nullptr)
+      .has_value();
+}
+
+}  // namespace
+
+bool perfetto_trace_json_stream(std::istream& trace_in,
+                                std::ostream& json_out) {
+  json_out << "{\"traceEvents\":[\n";
+  StreamEventWriter w(json_out);
+  bool ok = true;
+  int pid_queues = 1;  // stream i: pids 3i+1 .. 3i+3
+  do {
+    ok = stream_to_json(trace_in, w, pid_queues);
+    pid_queues += 3;
+  } while (ok && trace_in.peek() != std::char_traits<char>::eof());
   json_out << "\n],\"displayTimeUnit\":\"ms\"}\n";
   json_out.flush();
-  return footer.has_value();
+  return ok;
 }
 
 }  // namespace qos

@@ -1,15 +1,15 @@
-// Streaming trace path: chunked QOSTRC02 container, cursor-based scan, and
-// bounded-memory analysis/export over traces too large to materialize.
+// The trace container: chunked QOSTRC02 streams, a cursor-based scan, and
+// bounded-memory analysis and Perfetto export.
 //
-// The QOSTRC01 container (obs/trace_export.h) holds a whole TraceData —
-// writer and reader both materialize every span, which is fine for
-// figure-sized runs and O(requests) memory for giant ones.  QOSTRC02 is the
-// at-scale sibling: records are written through as they complete, framed
-// into fixed-size chunks, each independently checksummed and length-prefixed
-// so a reader can *skip* record types it does not need without parsing them.
+// Records are written through as they complete, framed into fixed-size
+// chunks, each independently checksummed and length-prefixed so a reader
+// can *skip* record types it does not need without parsing them.  A giant
+// run streams its Tracer straight into a ChunkedTraceWriter; a sweep writes
+// each traced cell's TraceData with write_trace_stream.
 //
-// Layout (integers little-endian; record encodings shared with QOSTRC01 via
-// obs/trace_codec.h):
+// A trace file holds one or more complete streams back to back (a sweep
+// writes one per traced cell).  One stream (integers little-endian; record
+// encodings in obs/trace_codec.h):
 //
 //   "QOSTRC02"                      8-byte magic
 //   meta chunk   ('M'):  label str, trace_name str, i64 delta,
@@ -23,7 +23,9 @@
 //
 // The footer's totals double as a structural check: a truncated stream
 // either has no footer or disagrees with the per-type record counts, and
-// scan_trace_stream rejects both.  Memory for writer, cursor, analysis and
+// scan_trace_stream rejects both.  What follows a footer must be the end of
+// the input or the magic of the next stream; anything else is a torn
+// append and is rejected too.  Memory for writer, cursor, analysis and
 // Perfetto export is O(chunk), never O(trace).
 //
 // What streaming analysis gives up: the queue-timeline reconstruction
@@ -32,7 +34,8 @@
 // enqueued arbitrarily earlier, so no bounded-memory single pass can emit
 // the timeline exactly.  Streaming analysis therefore reports attribution,
 // miss counts and slack accounting (all exactly equal to the materialized
-// path — tests assert) and omits the timeline.
+// path — tests assert) and omits the timeline, which
+// reconstruct_queue_timeline computes from a materialized TraceData.
 #pragma once
 
 #include <cstdint>
@@ -103,25 +106,31 @@ class ChunkedTraceWriter final : public SpanSink {
   bool finished_ = false;
 };
 
-/// Scan a QOSTRC02 stream front to back, invoking the non-null callbacks
-/// per record.  Chunks whose record type has a null callback are *seeked
-/// over* — their payloads are never read or checksummed, which is what
-/// makes a faults-only pre-pass over a 10^8-span trace cheap.  Returns the
-/// footer on success; nullopt on bad magic, a corrupt/truncated chunk, a
-/// missing footer, or footer/record-count disagreement (only for the record
-/// types actually read — skipped types are trusted to the footer).
-/// `meta`, when non-null, receives the meta chunk.  The stream must be
-/// seekable (a file or istringstream); the cursor leaves it positioned at
-/// the end.  Rewind (clear() + seekg(0)) to scan again.
+/// Write `trace` as one complete QOSTRC02 stream: its spans, faults and
+/// slack samples through a ChunkedTraceWriter, finished with the trace's
+/// observed and dropped counts.  Appending several makes a multi-stream
+/// file.
+void write_trace_stream(std::ostream& out, const TraceData& trace);
+
+/// Scan the QOSTRC02 stream at the cursor front to back, invoking the
+/// non-null callbacks per record.  Chunks whose record type has a null
+/// callback are *seeked over* — their payloads are never read or
+/// checksummed, which is what makes a faults-only pre-pass over a
+/// 10^8-span trace cheap.  Returns the footer on success; nullopt on bad
+/// magic, a chunk length beyond the end of the input, a corrupt/truncated
+/// chunk, a missing footer, bytes after the footer that are neither the end
+/// of the input nor another stream's magic, or footer/record-count
+/// disagreement (only for the record types actually read — skipped types
+/// are trusted to the footer).  `meta`, when non-null, receives the meta
+/// chunk.  The stream must be seekable (a file or istringstream).  On
+/// success the cursor sits just past the footer, at the next stream's
+/// magic or at the end, so `in.peek() == EOF` tells whether another stream
+/// follows; seekg back to the stream's start to scan it again.
 std::optional<StreamTraceFooter> scan_trace_stream(
     std::istream& in, StreamTraceMeta* meta,
     const std::function<void(const RequestSpan&)>& on_span,
     const std::function<void(const FaultSpan&)>& on_fault,
     const std::function<void(const SlackSample&)>& on_slack);
-
-/// True when `bytes` (>= 8 bytes of a file head) carries the QOSTRC02
-/// magic — how tools pick the streaming path over deserialize_traces.
-bool is_chunked_trace(const std::string& head);
 
 /// Bounded-memory analysis of a QOSTRC02 stream: attribution counts, slack
 /// accounting and fault windows, but no materialized misses or timeline
@@ -138,9 +147,11 @@ struct StreamAnalysis {
   std::vector<FaultSpan> faults;  ///< bounded by the fault schedule
 };
 
-/// Two-pass scan: faults + slack first (span chunks skipped), then spans
-/// classified against `delta` (< 0 uses the stream's own meta delta).
-/// nullopt on any structural error.
+/// Two-pass scan of the stream at the cursor: faults + slack first (span
+/// chunks skipped), then, rewound to the stream's start, spans classified
+/// against `delta` (< 0 uses the stream's own meta delta).  Leaves the
+/// cursor after the stream, so calling it until `in.peek() == EOF` analyzes
+/// a multi-stream file stream by stream.  nullopt on any structural error.
 std::optional<StreamAnalysis> analyze_trace_stream(std::istream& in,
                                                    Time delta = -1);
 
@@ -150,10 +161,15 @@ std::optional<StreamAnalysis> analyze_trace_stream(std::istream& in,
 /// line replaced by an "omitted" note.
 std::string trace_analysis_text_stream(const StreamAnalysis& analysis);
 
-/// Streaming Perfetto export: one pass over `trace_in`, writing trace_event
-/// JSON to `json_out` as spans are decoded; server/fault track metadata is
-/// emitted on first sight.  Same track layout as perfetto_trace_json for a
-/// single trace.  Returns false on a malformed stream (json_out may then
+/// Perfetto (Chrome trace_event JSON) export of every stream in
+/// `trace_in`, in one pass, writing events to `json_out` as records are
+/// decoded.  Timestamps are the simulator's microseconds, the trace_event
+/// `ts` unit, so ui.perfetto.dev loads the file as-is.  Stream i is a
+/// process group named after its label: pid 3i+1 "queues" (Q1/Q2 threads;
+/// each queue wait an async slice with id = seq, demotions as instants),
+/// 3i+2 "servers" (one thread per server, service as complete slices) and
+/// 3i+3 "faults" (fault windows as slices).  Track metadata is emitted on
+/// first sight.  Returns false on a malformed stream (json_out may then
 /// hold a partial document).
 bool perfetto_trace_json_stream(std::istream& trace_in,
                                 std::ostream& json_out);

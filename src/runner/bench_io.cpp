@@ -6,7 +6,7 @@
 #include <cstring>
 #include <fstream>
 
-#include "obs/trace_export.h"
+#include "obs/trace_stream.h"
 
 namespace qos {
 
@@ -163,26 +163,27 @@ void write_trace_outputs(const BenchOptions& options,
   const std::string bin_path = options.trace_out + ".trace.bin";
   const std::string json_path = options.trace_out + ".perfetto.json";
   {
+    // One QOSTRC02 stream per traced cell, back to back.
     std::ofstream out(bin_path, std::ios::trunc | std::ios::binary);
-    if (out) {
-      out << serialize_traces(runner.traces());
-      std::fprintf(stderr, "[%s] trace container written to %s\n", bench,
-                   bin_path.c_str());
-    } else {
+    for (const TraceData& t : runner.traces()) write_trace_stream(out, t);
+    if (!out) {
       std::fprintf(stderr, "[%s] cannot write %s\n", bench, bin_path.c_str());
+      return;
     }
+    std::fprintf(stderr, "[%s] trace container written to %s\n", bench,
+                 bin_path.c_str());
   }
-  {
-    std::ofstream out(json_path, std::ios::trunc);
-    if (out) {
-      out << perfetto_trace_json(runner.traces());
-      std::fprintf(stderr,
-                   "[%s] Perfetto trace written to %s "
-                   "(open in https://ui.perfetto.dev)\n",
-                   bench, json_path.c_str());
-    } else {
-      std::fprintf(stderr, "[%s] cannot write %s\n", bench, json_path.c_str());
-    }
+  // The Perfetto JSON streams from the file just written, so neither
+  // document is ever held in memory.
+  std::ifstream in(bin_path, std::ios::binary);
+  std::ofstream out(json_path, std::ios::trunc);
+  if (in && out && perfetto_trace_json_stream(in, out)) {
+    std::fprintf(stderr,
+                 "[%s] Perfetto trace written to %s "
+                 "(open in https://ui.perfetto.dev)\n",
+                 bench, json_path.c_str());
+  } else {
+    std::fprintf(stderr, "[%s] cannot write %s\n", bench, json_path.c_str());
   }
 }
 

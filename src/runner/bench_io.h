@@ -90,8 +90,9 @@ void write_bench_json(const BenchOptions& options, const BenchTiming& timing);
 
 /// Convenience: assemble the timing from a finished runner and write it.
 /// Under --trace this also writes the runner's collected traces to
-/// <trace_out>.trace.bin (binary container) and <trace_out>.perfetto.json
-/// (Chrome trace_event JSON), noting both paths on stderr.
+/// <trace_out>.trace.bin (one QOSTRC02 stream per traced cell) and
+/// <trace_out>.perfetto.json (Chrome trace_event JSON), noting both paths
+/// on stderr.
 void write_bench_json(const BenchOptions& options, const SweepRunner& runner,
                       std::uint64_t rows, double wall_seconds);
 

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/sink.h"
@@ -190,32 +189,6 @@ TEST(Sinks, CountingAndRecording) {
   Probe disabled;
   EXPECT_FALSE(disabled.enabled());
   disabled.emit({.time = 1});  // must be a no-op
-}
-
-TEST(Exporters, CsvAndJsonCarryTheData) {
-  RecordingSink sink;
-  sink.on_event({.time = 42,
-                 .seq = 7,
-                 .a = 3,
-                 .client = 1,
-                 .kind = EventKind::kAdmit});
-  const std::string csv = CsvExporter::events(sink.events());
-  EXPECT_NE(csv.find("time_us,kind,seq"), std::string::npos);
-  EXPECT_NE(csv.find("42,admit,7,1,primary"), std::string::npos);
-  const std::string json = JsonExporter::events(sink.events());
-  EXPECT_NE(json.find("\"kind\": \"admit\""), std::string::npos);
-
-  MetricRegistry r;
-  r.counter("rtt.admitted").add(12);
-  r.histogram("lat").record(100);
-  r.occupancy("q").update(0, 2);
-  r.occupancy("q").update(10, 2);
-  const std::string rcsv = CsvExporter::registry(r);
-  EXPECT_NE(rcsv.find("rtt.admitted,counter,value,12"), std::string::npos);
-  EXPECT_NE(rcsv.find("lat,histogram,count"), std::string::npos);
-  EXPECT_NE(rcsv.find("q,occupancy,mean,2.0000"), std::string::npos);
-  const std::string rjson = JsonExporter::registry(r);
-  EXPECT_NE(rjson.find("\"rtt.admitted\": 12"), std::string::npos);
 }
 
 TEST(Merge, CounterAndGaugeAdd) {

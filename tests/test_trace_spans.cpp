@@ -3,6 +3,8 @@
 // miss attribution, and the SweepRunner determinism contract for traces
 // (identical across thread counts and cache temperature).
 #include <algorithm>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -12,7 +14,7 @@
 #include "obs/sink.h"
 #include "obs/trace.h"
 #include "obs/trace_analysis.h"
-#include "obs/trace_export.h"
+#include "obs/trace_stream.h"
 #include "runner/result_cache.h"
 #include "runner/sweep.h"
 #include "trace/presets.h"
@@ -306,18 +308,55 @@ TraceData sample_trace_data() {
   return tracer.data();
 }
 
+// Read every QOSTRC02 stream in `bytes` back into a TraceData; nullopt when
+// any stream is malformed.
+std::optional<std::vector<TraceData>> read_trace_streams(
+    const std::string& bytes) {
+  std::istringstream in(bytes);
+  std::vector<TraceData> traces;
+  do {
+    TraceData t;
+    StreamTraceMeta meta;
+    const auto footer = scan_trace_stream(
+        in, &meta, [&t](const RequestSpan& s) { t.spans.push_back(s); },
+        [&t](const FaultSpan& f) { t.faults.push_back(f); },
+        [&t](const SlackSample& s) { t.slack.push_back(s); });
+    if (!footer) return std::nullopt;
+    t.label = meta.label;
+    t.trace_name = meta.trace_name;
+    t.delta = meta.delta;
+    t.sample_every = meta.sample_every;
+    t.observed = footer->observed;
+    t.dropped = footer->dropped;
+    traces.push_back(std::move(t));
+  } while (in.peek() != std::char_traits<char>::eof());
+  return traces;
+}
+
+std::string write_trace_streams(const std::vector<TraceData>& traces) {
+  std::ostringstream out;
+  for (const TraceData& t : traces) write_trace_stream(out, t);
+  return out.str();
+}
+
 TEST(TraceExport, BinaryRoundTripIsLossless) {
   const TraceData a = sample_trace_data();
   TraceData b = sample_trace_data();
   b.label = "FairQueue";
   b.spans[0].inflation_us = 77;
+  // A sampled, ring-bounded tracer: sample_every 2 and evicted spans.
+  Tracer ring(TracerConfig{.sample_every = 2, .max_spans = 1});
+  ring.annotate("Split", "OpenMail", from_ms(20));
+  for (std::uint64_t seq = 0; seq < 6; ++seq)
+    feed_lifecycle(ring, seq, static_cast<Time>(100 * (seq + 1)));
+  const TraceData c = ring.data();
+  ASSERT_GT(c.dropped, 0u);
 
-  const std::vector<TraceData> traces = {a, b};
-  const std::string bytes = serialize_traces(traces);
-  const auto back = deserialize_traces(bytes);
+  const std::vector<TraceData> traces = {a, b, c};
+  const auto back = read_trace_streams(write_trace_streams(traces));
   ASSERT_TRUE(back.has_value());
-  ASSERT_EQ(back->size(), 2u);
-  for (std::size_t i = 0; i < 2; ++i) {
+  ASSERT_EQ(back->size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ((*back)[i].label, traces[i].label);
     EXPECT_EQ((*back)[i].trace_name, traces[i].trace_name);
     EXPECT_EQ((*back)[i].delta, traces[i].delta);
@@ -331,23 +370,35 @@ TEST(TraceExport, BinaryRoundTripIsLossless) {
 }
 
 TEST(TraceExport, CorruptionAndTruncationRejected) {
-  const std::string bytes = serialize_trace(sample_trace_data());
-  EXPECT_TRUE(deserialize_traces(bytes).has_value());
+  const std::string bytes = write_trace_streams({sample_trace_data()});
+  EXPECT_TRUE(read_trace_streams(bytes).has_value());
 
   for (std::size_t pos : {std::size_t{0}, std::size_t{10}, bytes.size() / 2,
                           bytes.size() - 1}) {
     std::string corrupt = bytes;
     corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0x5a);
-    EXPECT_FALSE(deserialize_traces(corrupt).has_value()) << pos;
+    EXPECT_FALSE(read_trace_streams(corrupt).has_value()) << pos;
   }
-  EXPECT_FALSE(deserialize_traces(bytes.substr(0, bytes.size() - 3)));
-  EXPECT_FALSE(deserialize_traces(""));
-  EXPECT_FALSE(deserialize_traces("not a trace container at all"));
-  EXPECT_FALSE(deserialize_traces(bytes + "trailing garbage"));
+  EXPECT_FALSE(read_trace_streams(bytes.substr(0, bytes.size() - 3)));
+  EXPECT_FALSE(read_trace_streams(bytes.substr(0, 7)));  // short head
+  EXPECT_FALSE(read_trace_streams(""));
+  std::string retired_magic = bytes.substr(0, 8);
+  retired_magic.back() = '1';  // the retired materialized format
+  EXPECT_FALSE(read_trace_streams(retired_magic));
+  EXPECT_FALSE(read_trace_streams("not a trace container at all"));
+  EXPECT_FALSE(read_trace_streams(bytes + "trailing garbage"));
+  // After a footer only the end of the input or a whole next stream may
+  // follow: a torn magic, or a magic with no stream behind it, is rejected.
+  EXPECT_TRUE(read_trace_streams(bytes + bytes).has_value());
+  EXPECT_FALSE(read_trace_streams(bytes + bytes.substr(0, 7)));
+  EXPECT_FALSE(read_trace_streams(bytes + bytes.substr(0, 8)));
 }
 
 TEST(TraceExport, PerfettoJsonHasTracksAndSlices) {
-  const std::string json = perfetto_trace_json(sample_trace_data());
+  std::istringstream trace_in(write_trace_streams({sample_trace_data()}));
+  std::ostringstream json_out;
+  ASSERT_TRUE(perfetto_trace_json_stream(trace_in, json_out));
+  const std::string json = json_out.str();
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("process_name"), std::string::npos);
   EXPECT_NE(json.find("Miser queues"), std::string::npos);

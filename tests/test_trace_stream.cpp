@@ -1,8 +1,8 @@
 // Streaming trace path: QOSTRC02 round-trips, chunk framing and corruption
-// rejection, the skip-unread-chunks contract, and — the load-bearing claim —
-// that streamed analysis reports exactly the numbers the materialized path
-// computes from the same records, so giant runs lose nothing but the
-// timeline by never holding their spans.
+// rejection, multi-stream files, the skip-unread-chunks contract, and — the
+// load-bearing claim — that streamed analysis reports exactly the numbers
+// the materialized path computes from the same records, so trace files lose
+// nothing but the timeline by never holding their spans.
 #include "obs/trace_stream.h"
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include "core/shaper.h"
 #include "obs/trace.h"
 #include "obs/trace_analysis.h"
-#include "obs/trace_export.h"
 #include "runner/sweep.h"
 #include "trace/presets.h"
 
@@ -54,17 +53,6 @@ std::string synthetic_stream(std::size_t n, std::size_t records_per_chunk) {
   writer.on_slack({1'700, 2});
   writer.finish(/*observed=*/n, /*dropped=*/0);
   return out.str();
-}
-
-TEST(TraceStream, MagicSniff) {
-  const std::string stream = synthetic_stream(4, 4096);
-  EXPECT_TRUE(is_chunked_trace(stream));
-  EXPECT_TRUE(is_chunked_trace(stream.substr(0, 8)));
-  EXPECT_FALSE(is_chunked_trace(stream.substr(0, 7)));  // short head
-  EXPECT_FALSE(is_chunked_trace("QOSTRC01"));           // materialized magic
-  EXPECT_FALSE(is_chunked_trace(""));
-  const std::string materialized = serialize_trace(TraceData{});
-  EXPECT_FALSE(is_chunked_trace(materialized));
 }
 
 TEST(TraceStream, RoundTripAcrossChunkBoundaries) {
@@ -145,6 +133,30 @@ TEST(TraceStream, CorruptionAndTruncationRejected) {
   }
 }
 
+// Analyze every stream of a file in turn; false when any is malformed.
+bool analyze_every_stream(const std::string& bytes) {
+  std::istringstream in(bytes);
+  do {
+    if (!analyze_trace_stream(in)) return false;
+  } while (in.peek() != std::char_traits<char>::eof());
+  return true;
+}
+
+TEST(TraceStream, EveryBitFlipOfATwoStreamFileRejected) {
+  // Chunk lengths are bounded by the bytes left in the input, so a flipped
+  // length bit fails before any buffer is sized from it; every other byte is
+  // covered by a checksum, the chunk-type check or the after-footer rule.
+  const std::string file = synthetic_stream(4, 3) + synthetic_stream(2, 1);
+  ASSERT_TRUE(analyze_every_stream(file));
+  for (std::size_t pos = 0; pos < file.size(); ++pos) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string corrupt = file;
+      corrupt[pos] = static_cast<char>(corrupt[pos] ^ (1 << bit));
+      EXPECT_FALSE(analyze_every_stream(corrupt)) << pos << ":" << bit;
+    }
+  }
+}
+
 TEST(TraceStream, UnfinishedWriterProducesNoFooter) {
   std::ostringstream out;
   {
@@ -167,7 +179,8 @@ TEST(TraceStream, UnfinishedWriterProducesNoFooter) {
 // One traced Miser run under a brownout: produces misses in several cause
 // classes, fault windows, and slack samples.  `sink` non-null streams the
 // records instead of materializing them.
-TraceData traced_chaos_run(SpanSink* sink) {
+TraceData traced_chaos_run(SpanSink* sink, Time brownout_begin = 5 * kUsPerSec,
+                           Time brownout_end = 15 * kUsPerSec) {
   static const Trace trace = preset_trace(Workload::kWebSearch,
                                           30 * kUsPerSec);
   SweepCell cell;
@@ -177,7 +190,7 @@ TraceData traced_chaos_run(SpanSink* sink) {
   cell.shaping.fraction = 0.90;
   cell.shaping.delta = from_ms(10);
   cell.shaping.capacity_override_iops = 250;
-  cell.faults.brownout(5 * kUsPerSec, 15 * kUsPerSec, 0.5);
+  cell.faults.brownout(brownout_begin, brownout_end, 0.5);
   cell.fault_intensity = 0.5;
 
   Tracer tracer;
@@ -228,6 +241,42 @@ TEST(TraceStream, StreamedAnalysisEqualsMaterialized) {
   EXPECT_EQ(got->footer.spans, data.spans.size());
   EXPECT_EQ(got->footer.observed, data.observed);
   EXPECT_EQ(got->meta.delta, delta);
+}
+
+TEST(TraceStream, StreamsOfOneFileAnalyzeApart) {
+  // Two cells with different fault windows, written back to back: each
+  // stream's analysis must match its own materialized trace, not a mix.
+  const Time delta = from_ms(10);
+  const std::vector<TraceData> cells = {
+      traced_chaos_run(nullptr),
+      traced_chaos_run(nullptr, 18 * kUsPerSec, 26 * kUsPerSec)};
+  ASSERT_NE(cells[0].faults, cells[1].faults);
+  const int fault = static_cast<int>(MissCause::kFaultWindow);
+  ASSERT_NE(attribute_misses(cells[0], delta).by_cause[fault],
+            attribute_misses(cells[1], delta).by_cause[fault]);
+  std::ostringstream out;
+  for (const TraceData& t : cells) write_trace_stream(out, t);
+
+  std::istringstream in(out.str());
+  for (const TraceData& data : cells) {
+    const AttributionReport want = attribute_misses(data, delta);
+    const SlackReport want_slack = miser_slack_report(data);
+    const auto got = analyze_trace_stream(in, delta);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->completed, want.completed);
+    EXPECT_EQ(got->met, want.met);
+    EXPECT_EQ(got->missed, want.misses.size());
+    for (int c = 0; c < kMissCauseCount; ++c)
+      EXPECT_EQ(got->by_cause[c], want.by_cause[c]) << miss_cause_name(
+          static_cast<MissCause>(c));
+    EXPECT_EQ(got->slack.samples, want_slack.samples);
+    EXPECT_EQ(got->slack.min_slack, want_slack.min_slack);
+    EXPECT_EQ(got->slack.violations, want_slack.violations);
+    EXPECT_EQ(got->slack.near_violations, want_slack.near_violations);
+    EXPECT_EQ(got->faults, data.faults);
+    EXPECT_EQ(got->footer.spans, data.spans.size());
+  }
+  EXPECT_EQ(in.peek(), std::char_traits<char>::eof());
 }
 
 TEST(TraceStream, AnalysisTextMatchesMaterializedAttributionLines) {
@@ -295,6 +344,39 @@ TEST(TraceStream, PerfettoStreamExportsTracksAndSlices) {
   std::istringstream garbage("not a trace");
   std::ostringstream sink;
   EXPECT_FALSE(perfetto_trace_json_stream(garbage, sink));
+}
+
+TEST(TraceStream, PerfettoRendersEveryStreamWithEscapedLabels) {
+  TraceData plain;
+  plain.label = "Miser";
+  plain.spans.push_back(make_span(0, 100, 150));
+  TraceData quoted = plain;
+  quoted.label = "Fair\"Queue\\";
+  quoted.faults.push_back({1'000, 2'000, 1, 500'000});
+  std::ostringstream trace_out;
+  write_trace_stream(trace_out, plain);
+  write_trace_stream(trace_out, quoted);
+
+  std::istringstream trace_in(trace_out.str());
+  std::ostringstream json_out;
+  ASSERT_TRUE(perfetto_trace_json_stream(trace_in, json_out));
+  const std::string json = json_out.str();
+  // Stream 0 keeps pids 1..3; stream 1 takes 4..6.
+  EXPECT_NE(json.find("\"pid\":1,\"name\":\"process_name\","
+                      "\"args\":{\"name\":\"Miser queues\"}"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"pid\":4,\"name\":\"process_name\","
+                      "\"args\":{\"name\":\"Fair\\\"Queue\\\\ queues\"}"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"pid\":5,\"tid\":1,\"ts\":142"), std::string::npos);
+  EXPECT_NE(json.find("\"pid\":6,\"name\":\"process_name\""),
+            std::string::npos);
+  EXPECT_EQ(json.find("Fair\"Queue"), std::string::npos);  // never raw
+
+  // A torn second stream fails the whole export.
+  std::istringstream torn(trace_out.str() + "QOSTRC02");
+  std::ostringstream sink;
+  EXPECT_FALSE(perfetto_trace_json_stream(torn, sink));
 }
 
 TEST(TraceStream, TracerStreamingModeKeepsCountersAndFaultDedup) {

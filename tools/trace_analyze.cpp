@@ -1,30 +1,25 @@
-// trace_analyze — offline analysis of binary trace containers.
+// trace_analyze — offline analysis of QOSTRC02 trace files.
 //
 //   trace_analyze FILE.trace.bin [--delta US]
 //
-// Reads either trace container format and prints, for each trace, the
-// deadline-miss attribution (every miss in exactly one cause class) and
-// Miser slack accounting:
+// A trace file holds one or more QOSTRC02 streams back to back: one per
+// traced sweep cell, or the single stream of a giant run.  For each stream
+// it prints the deadline-miss attribution (every miss in exactly one cause
+// class) and Miser slack accounting, off the file cursor in O(chunk)
+// memory — a 10^8-span trace analyzes without ever holding the spans.  The
+// queue timeline needs every span at once, so it is omitted here;
+// reconstruct_queue_timeline (obs/trace_analysis.h) computes it from a
+// materialized TraceData.
 //
-//   * QOSTRC01 (serialize_traces, the figure-sized format): materialized
-//     path, which additionally prints the queue-timeline summary;
-//   * QOSTRC02 (ChunkedTraceWriter, the giant-run format): cursor-based
-//     streaming path in O(chunk) memory — a 10^8-span trace analyzes
-//     without ever holding the spans.
-//
-// The format is sniffed from the 8-byte magic, so callers never pick.
-// --delta overrides the deadline recorded in the trace, for what-if
+// --delta overrides the deadline recorded in each stream, for what-if
 // analysis against a different SLA.  Exits 1 on unreadable or corrupt
-// input.
+// input, printing nothing on stdout.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 
-#include "obs/trace_analysis.h"
-#include "obs/trace_export.h"
 #include "obs/trace_stream.h"
 
 namespace {
@@ -58,39 +53,20 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  char head[8] = {};
-  in.read(head, sizeof head);
-  const std::string magic(head, static_cast<std::size_t>(in.gcount()));
-  in.clear();
-  in.seekg(0);
-
-  if (qos::is_chunked_trace(magic)) {
-    // Streaming container: analyze in O(chunk) memory off the file cursor.
+  // Every stream is checked before anything is printed, so a corrupt file
+  // yields no partial report.
+  std::string report;
+  do {
     const auto analysis = qos::analyze_trace_stream(in, delta_override);
     if (!analysis) {
-      std::fprintf(stderr, "trace_analyze: %s is not a valid trace stream\n",
+      std::fprintf(stderr, "trace_analyze: %s is not a valid trace file\n",
                    path);
       return 1;
     }
-    std::printf("%s: streamed trace (%llu spans)\n", path,
-                static_cast<unsigned long long>(analysis->footer.spans));
-    std::fputs(qos::trace_analysis_text_stream(*analysis).c_str(), stdout);
-    return 0;
-  }
-
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const auto traces = qos::deserialize_traces(buf.str());
-  if (!traces) {
-    std::fprintf(stderr, "trace_analyze: %s is not a valid trace container\n",
-                 path);
-    return 1;
-  }
-
-  std::printf("%s: %zu trace(s)\n", path, traces->size());
-  for (const qos::TraceData& t : *traces) {
-    const qos::Time delta = delta_override >= 0 ? delta_override : t.delta;
-    std::fputs(qos::trace_analysis_text(t, delta).c_str(), stdout);
-  }
+    report += std::string(path) + ": streamed trace (" +
+              std::to_string(analysis->footer.spans) + " spans)\n";
+    report += qos::trace_analysis_text_stream(*analysis);
+  } while (in.peek() != std::char_traits<char>::eof());
+  std::fputs(report.c_str(), stdout);
   return 0;
 }

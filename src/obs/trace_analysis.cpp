@@ -60,38 +60,6 @@ AttributionReport attribute_misses(const TraceData& trace, Time delta) {
   return report;
 }
 
-std::vector<QueuePoint> reconstruct_queue_timeline(const TraceData& trace) {
-  // +1 at enqueue, -1 at service start, folded into per-instant deltas.
-  struct Edge {
-    Time time;
-    std::int64_t dq1;
-    std::int64_t dq2;
-  };
-  std::vector<Edge> edges;
-  edges.reserve(trace.spans.size() * 2);
-  for (const RequestSpan& s : trace.spans) {
-    const bool primary = s.klass == ServiceClass::kPrimary;
-    const Time enq = s.enqueue != kNoTime ? s.enqueue : s.arrival;
-    if (enq != kNoTime && s.service_start != kNoTime) {
-      edges.push_back({enq, primary ? 1 : 0, primary ? 0 : 1});
-      edges.push_back({s.service_start, primary ? -1 : 0, primary ? 0 : -1});
-    }
-  }
-  std::sort(edges.begin(), edges.end(),
-            [](const Edge& a, const Edge& b) { return a.time < b.time; });
-
-  std::vector<QueuePoint> timeline;
-  std::int64_t q1 = 0, q2 = 0;
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    q1 += edges[i].dq1;
-    q2 += edges[i].dq2;
-    // Coalesce simultaneous edges into one point (dispatch at enqueue time).
-    if (i + 1 < edges.size() && edges[i + 1].time == edges[i].time) continue;
-    timeline.push_back({edges[i].time, q1, q2});
-  }
-  return timeline;
-}
-
 SlackReport miser_slack_report(const TraceData& trace) {
   SlackReport report;
   report.samples = trace.slack.size();
@@ -135,18 +103,6 @@ std::string trace_analysis_text(const TraceData& trace, Time delta) {
                   report.by_cause[c]);
     emit();
   }
-
-  const std::vector<QueuePoint> timeline = reconstruct_queue_timeline(trace);
-  std::int64_t peak_q1 = 0, peak_q2 = 0;
-  for (const QueuePoint& p : timeline) {
-    peak_q1 = std::max(peak_q1, p.q1);
-    peak_q2 = std::max(peak_q2, p.q2);
-  }
-  std::snprintf(line, sizeof(line),
-                "queue timeline: %zu points, peak_q1=%" PRId64
-                " peak_q2=%" PRId64 "\n",
-                timeline.size(), peak_q1, peak_q2);
-  emit();
 
   const SlackReport slack = miser_slack_report(trace);
   std::snprintf(line, sizeof(line),

@@ -1,5 +1,5 @@
-// Trace analysis: queue-timeline reconstruction, deadline-miss attribution,
-// and Miser slack accounting over a TraceData.
+// Trace analysis: deadline-miss attribution and Miser slack accounting over
+// a TraceData.
 //
 // The attribution taxonomy is total and exclusive: every missed request is
 // classified into exactly one cause, decided by a fixed-priority chain —
@@ -66,18 +66,6 @@ MissCause attribute_miss(const RequestSpan& span, const TraceData& trace,
 /// are skipped and do not count as completed.
 AttributionReport attribute_misses(const TraceData& trace, Time delta);
 
-/// One point of the reconstructed queue timeline: queue depths immediately
-/// after the instant's enqueue/dispatch activity.
-struct QueuePoint {
-  Time time = 0;
-  std::int64_t q1 = 0;
-  std::int64_t q2 = 0;
-};
-
-/// Rebuild Q1/Q2 depth over time from span enqueue/service-start instants.
-/// Exact when sample_every == 1; a depth *estimate* under sampling.
-std::vector<QueuePoint> reconstruct_queue_timeline(const TraceData& trace);
-
 /// Miser slack accounting over the recorded slack series.
 struct SlackReport {
   std::uint64_t samples = 0;          ///< slack-funded Q2 dispatches
@@ -89,8 +77,9 @@ struct SlackReport {
 
 SlackReport miser_slack_report(const TraceData& trace);
 
-/// Human-readable analysis of one trace: span/queue summary, per-cause miss
-/// table, and slack accounting.  This is what tools/trace_analyze prints.
+/// Human-readable analysis of one materialized trace: span summary,
+/// per-cause miss table and slack accounting.  tools/trace_analyze prints
+/// its streamed twin, trace_analysis_text_stream (obs/trace_stream.h).
 std::string trace_analysis_text(const TraceData& trace, Time delta);
 
 }  // namespace qos

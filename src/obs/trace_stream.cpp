@@ -394,7 +394,6 @@ std::string trace_analysis_text_stream(const StreamAnalysis& a) {
                   static_cast<unsigned long long>(a.by_cause[c]));
     emit();
   }
-  out += "queue timeline: omitted (streamed trace)\n";
   std::snprintf(line, sizeof(line),
                 "miser slack: samples=%llu min=%lld violations=%llu "
                 "near_violations=%llu\n",

@@ -26,16 +26,9 @@
 // scan_trace_stream rejects both.  What follows a footer must be the end of
 // the input or the magic of the next stream; anything else is a torn
 // append and is rejected too.  Memory for writer, cursor, analysis and
-// Perfetto export is O(chunk), never O(trace).
-//
-// What streaming analysis gives up: the queue-timeline reconstruction
-// (obs/trace_analysis.h) needs all enqueue/dispatch edges time-sorted, and
-// spans arrive in completion order — a span completing at time c may have
-// enqueued arbitrarily earlier, so no bounded-memory single pass can emit
-// the timeline exactly.  Streaming analysis therefore reports attribution,
-// miss counts and slack accounting (all exactly equal to the materialized
-// path — tests assert) and omits the timeline, which
-// reconstruct_queue_timeline computes from a materialized TraceData.
+// Perfetto export is O(chunk), never O(trace).  Streaming analysis reports
+// attribution, miss counts and slack accounting, all exactly equal to the
+// materialized path (obs/trace_analysis.h; tests assert).
 #pragma once
 
 #include <cstdint>
@@ -133,9 +126,8 @@ std::optional<StreamTraceFooter> scan_trace_stream(
     const std::function<void(const SlackSample&)>& on_slack);
 
 /// Bounded-memory analysis of a QOSTRC02 stream: attribution counts, slack
-/// accounting and fault windows, but no materialized misses or timeline
-/// (see file comment).  Equal to the materialized attribute_misses /
-/// miser_slack_report on the same records.
+/// accounting and fault windows, but no materialized misses.  Equal to the
+/// materialized attribute_misses / miser_slack_report on the same records.
 struct StreamAnalysis {
   StreamTraceMeta meta;
   StreamTraceFooter footer;
@@ -157,8 +149,7 @@ std::optional<StreamAnalysis> analyze_trace_stream(std::istream& in,
 
 /// The trace_analysis_text twin for streamed traces: identical header,
 /// miss-attribution table and slack lines (tests assert), with the
-/// retained/dropped line reading from the footer and the queue-timeline
-/// line replaced by an "omitted" note.
+/// retained/dropped line reading from the footer.
 std::string trace_analysis_text_stream(const StreamAnalysis& analysis);
 
 /// Perfetto (Chrome trace_event JSON) export of every stream in

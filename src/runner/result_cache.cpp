@@ -96,6 +96,13 @@ std::optional<std::string> ResultCache::disk_get(const Digest& key) {
   if (!(in >> magic >> size >> checksum) || magic != "qosc1")
     return std::nullopt;
   if (in.get() != '\n') return std::nullopt;
+  // A corrupt header may claim any size: bound it by the bytes left in the
+  // file before allocating, so it reads as a miss like any torn entry.
+  const std::streampos body = in.tellg();
+  if (body < 0 || !in.seekg(0, std::ios::end)) return std::nullopt;
+  const std::streamoff left = in.tellg() - body;
+  if (left < 0 || size > static_cast<std::uint64_t>(left) || !in.seekg(body))
+    return std::nullopt;
   std::string value(size, '\0');
   in.read(value.data(), static_cast<std::streamsize>(size));
   if (in.gcount() != static_cast<std::streamsize>(size)) return std::nullopt;

@@ -21,14 +21,13 @@
 // where fill calls started(server, Scheduler::Dispatch) once per dispatch it
 // makes.  There are two fronts, over one loop:
 //   * SimEngine = BasicSimEngine<DispatchCore> (sim/dispatch_core.h) drives a
-//     Scheduler directly.  It serves simulate(Trace, ...), the streamed
-//     stream::simulate_stream(...) (pull a request, retire everything before
-//     its arrival, push it) and stream::simulate_sharded(...) (one engine per
-//     tenant lane, advance_until(E) to each barrier window's edge E).  All
-//     three call the identical member functions in the identical order, so
-//     streamed and sharded runs are bit-identical to the materialized
-//     single-threaded reference by construction (tests/test_stream.cpp,
-//     tests/test_sharded_sim.cpp).
+//     Scheduler directly.  It serves simulate(Trace, ...) and
+//     stream::simulate_sharded(...) (one engine per tenant lane, retire
+//     everything before each arrival, push it, advance_until(E) to each
+//     barrier window's edge E).  Both call the identical member functions in
+//     the identical order, so sharded runs are bit-identical to the
+//     materialized single-threaded reference by construction
+//     (tests/test_stream.cpp, tests/test_sharded_sim.cpp).
 //   * online::replay_trace's front (online/replay.cpp) routes the same calls
 //     through an online::Shaper's public API, and the Shaper makes them on a
 //     DispatchCore of its own — so the online≡offline differential holds by

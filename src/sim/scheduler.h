@@ -38,9 +38,9 @@ class Scheduler {
   /// Split, which uses a dedicated overflow server).
   virtual int server_count() const = 0;
 
-  /// True when one arrival can produce multiple dispatches (e.g. RAID
-  /// mirror/parity fan-out).  Relaxes the simulator's one-completion-per-
-  /// request invariant; SimResult::by_seq() is unavailable for such runs.
+  /// True when one arrival can produce multiple dispatches (e.g. a write
+  /// mirrored to several servers).  Relaxes the simulator's one-completion-
+  /// per-request invariant; SimResult::by_seq() is unavailable for such runs.
   virtual bool fans_out() const { return false; }
 
   /// True when an arrival at `now` would classify into the primary class

@@ -10,14 +10,13 @@
 namespace qos::stream {
 namespace {
 
-/// Sorted merge of one time-ordered base core with the batch overlay.
+/// Sorted merge of the time-ordered MMPP base core with the batch overlay.
 /// Reproduces the materialized tie order (stable sort of [all base…, all
 /// overlay…]): at equal instants base precedes overlay, and overlay arrivals
-/// keep generation order.  BaseCore needs only `std::optional<Time> next()`.
-template <typename BaseCore>
+/// keep generation order.
 class BasePlusOverlay {
  public:
-  BasePlusOverlay(BaseCore base, BatchCore batches)
+  BasePlusOverlay(MmppCore base, BatchCore batches)
       : base_(std::move(base)), batches_(std::move(batches)) {
     base_front_ = base_.next();
   }
@@ -51,7 +50,7 @@ class BasePlusOverlay {
 
   using Tagged = std::pair<Time, std::uint64_t>;  ///< (arrival, gen index)
 
-  BaseCore base_;
+  MmppCore base_;
   BatchCore batches_;
   std::optional<Time> base_front_;
   std::priority_queue<Tagged, std::vector<Tagged>, std::greater<Tagged>>
@@ -118,14 +117,13 @@ class WorkloadStream final : public GenStreamBase {
 
  private:
   WorkloadSpec spec_;
-  BasePlusOverlay<MmppCore> merge_;
+  BasePlusOverlay merge_;
 };
 
-/// Poisson and Pareto share one shape: a single sorted core, no overlay.
-template <typename Core>
-class SingleCoreStream final : public GenStreamBase {
+/// Poisson: a single sorted core, no overlay.
+class PoissonStream final : public GenStreamBase {
  public:
-  SingleCoreStream(AddressAssigner addr, Core core)
+  PoissonStream(AddressAssigner addr, PoissonWindowCore core)
       : GenStreamBase(std::move(addr)), core_(std::move(core)) {}
 
   std::optional<Request> next() override {
@@ -135,48 +133,7 @@ class SingleCoreStream final : public GenStreamBase {
   }
 
  private:
-  Core core_;
-};
-
-class RegimeStream final : public GenStreamBase {
- public:
-  RegimeStream(AddressAssigner addr, RegimeSchedule schedule, Time duration,
-               std::uint64_t seed)
-      : GenStreamBase(std::move(addr)),
-        schedule_(std::move(schedule)),
-        duration_(duration),
-        seed_(seed) {}
-
-  std::optional<Request> next() override {
-    // Phases are time-disjoint (a phase's arrivals all precede the next
-    // phase's begin), so exhausting them in schedule order IS sorted order.
-    while (true) {
-      if (merge_) {
-        if (auto t = merge_->next()) return emit(*t);
-        merge_.reset();
-      }
-      const auto& phases = schedule_.phases();
-      if (phase_ >= phases.size() || phases[phase_].begin >= duration_)
-        return std::nullopt;
-      const std::size_t i = phase_++;
-      const RegimePhase& ph = phases[i];
-      const Time end = i + 1 < phases.size()
-                           ? std::min(phases[i + 1].begin, duration_)
-                           : duration_;
-      merge_.emplace(
-          PoissonWindowCore(ph.rate_iops, to_sec(ph.begin), to_sec(end),
-                            Rng(hash_node(seed_, 2 * i + 1))),
-          BatchCore(ph.batches, to_sec(ph.begin), to_sec(end), end,
-                    Rng(hash_node(seed_, 2 * i + 2))));
-    }
-  }
-
- private:
-  RegimeSchedule schedule_;
-  Time duration_;
-  std::uint64_t seed_;
-  std::size_t phase_ = 0;
-  std::optional<BasePlusOverlay<PoissonWindowCore>> merge_;
+  PoissonWindowCore core_;
 };
 
 }  // namespace
@@ -194,44 +151,9 @@ std::unique_ptr<RequestStream> make_poisson_stream(double rate_iops,
   QOS_EXPECTS(rate_iops > 0 && duration > 0);
   Rng rng(seed);
   AddressAssigner assigner(addr, rng.fork());
-  return std::make_unique<SingleCoreStream<PoissonWindowCore>>(
+  return std::make_unique<PoissonStream>(
       std::move(assigner), PoissonWindowCore(rate_iops, 0, to_sec(duration),
                                              rng));
-}
-
-std::unique_ptr<RequestStream> make_pareto_onoff_stream(
-    double on_rate_iops, double alpha_on, double xm_on_sec,
-    double mean_off_sec, Time duration, std::uint64_t seed,
-    const AddressSpec& addr) {
-  QOS_EXPECTS(on_rate_iops > 0 && duration > 0);
-  Rng rng(seed);
-  AddressAssigner assigner(addr, rng.fork());
-  return std::make_unique<SingleCoreStream<ParetoOnOffCore>>(
-      std::move(assigner),
-      ParetoOnOffCore(on_rate_iops, alpha_on, xm_on_sec, mean_off_sec,
-                      to_sec(duration), rng));
-}
-
-std::unique_ptr<RequestStream> make_regime_stream(const RegimeSchedule& schedule,
-                                                  Time duration,
-                                                  std::uint64_t seed,
-                                                  const AddressSpec& addr) {
-  QOS_EXPECTS(!schedule.empty());
-  QOS_EXPECTS(schedule.validate());
-  QOS_EXPECTS(duration > 0);
-  Rng rng(seed);
-  AddressAssigner assigner(addr, rng.fork());
-  return std::make_unique<RegimeStream>(std::move(assigner), schedule,
-                                        duration, seed);
-}
-
-std::unique_ptr<RequestStream> make_bmodel_stream(double mean_rate_iops,
-                                                  double b, int levels,
-                                                  Time duration,
-                                                  std::uint64_t seed,
-                                                  const AddressSpec& addr) {
-  return std::make_unique<TraceStream>(
-      generate_bmodel(mean_rate_iops, b, levels, duration, seed, addr));
 }
 
 std::unique_ptr<RequestStream> make_preset_stream(Workload w, Time duration,

@@ -14,12 +14,6 @@
 // every arrival still inside the core, and a buffered candidate is emitted
 // only once the frontier has passed it.  The buffered window is therefore at
 // most one batch beyond the emission point, independent of trace length.
-//
-// The b-model generator is the one exception: a multiplicative cascade
-// places every request by global position, so it is inherently offline.
-// make_bmodel_stream materializes internally and streams the result — same
-// sequence, but trace-sized memory; callers needing bounded memory should
-// prefer the other sources.
 #pragma once
 
 #include <cstdint>
@@ -42,27 +36,6 @@ std::unique_ptr<RequestStream> make_poisson_stream(double rate_iops,
                                                    Time duration,
                                                    std::uint64_t seed,
                                                    const AddressSpec& addr = {});
-
-/// Streaming generate_pareto_onoff.
-std::unique_ptr<RequestStream> make_pareto_onoff_stream(
-    double on_rate_iops, double alpha_on, double xm_on_sec,
-    double mean_off_sec, Time duration, std::uint64_t seed,
-    const AddressSpec& addr = {});
-
-/// Streaming generate_regime_switching.  Phases are time-disjoint, so the
-/// stream simply plays each phase's base+overlay merge in schedule order.
-std::unique_ptr<RequestStream> make_regime_stream(const RegimeSchedule& schedule,
-                                                  Time duration,
-                                                  std::uint64_t seed,
-                                                  const AddressSpec& addr = {});
-
-/// generate_bmodel behind the stream interface — materializes internally
-/// (see header comment); memory is O(trace), not O(window).
-std::unique_ptr<RequestStream> make_bmodel_stream(double mean_rate_iops,
-                                                  double b, int levels,
-                                                  Time duration,
-                                                  std::uint64_t seed,
-                                                  const AddressSpec& addr = {});
 
 /// Streaming preset_trace: the calibrated paper-workload stand-ins.
 /// `duration <= 0` uses kPresetDuration and `seed == 0` uses preset_seed(w),

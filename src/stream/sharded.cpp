@@ -99,9 +99,8 @@ ShardedStats simulate_sharded(
     return ref;
   };
 
-  // The stream contract is validated at the coordinator, exactly as
-  // simulate_stream does — lanes then only ever see per-tenant subsequences
-  // of an already-checked stream.
+  // The stream contract is validated at the coordinator — lanes then only
+  // ever see per-tenant subsequences of an already-checked stream.
   std::uint64_t expected_seq = 0;
   Time prev_arrival = 0;
   auto validate = [&](const Request& r) {

@@ -4,9 +4,9 @@
 // request sequence one record at a time, so a run never holds more than a
 // bounded window of requests in memory.  The stream contract mirrors the
 // Trace invariants exactly (same order, same numbering, same per-record
-// checks), which is what lets stream::simulate_stream feed SimEngine with
-// the identical call sequence simulate() makes from a materialized Trace —
-// and therefore produce bit-identical results (tests/test_stream.cpp).
+// checks), which is what lets a streamed run (stream/sharded.h) reproduce
+// what simulate() computes from the materialized Trace bit for bit
+// (tests/test_stream.cpp holds a one-shard run to simulate()).
 //
 // Stream contract (every implementation):
 //   * requests are yielded in non-decreasing arrival order;
@@ -15,9 +15,9 @@
 //   * every yielded record satisfies request_record_ok();
 //   * next() returns nullopt forever once exhausted.
 //
-// Sources live in gen_stream.h (synthetic generators) and spc_stream.h (SPC
-// trace files); this header holds the abstraction plus the composable
-// adapters that need nothing beyond a Trace and the hash library.
+// Sources live in gen_stream.h (synthetic generators); this header holds
+// the abstraction plus the composable adapters that need nothing beyond a
+// Trace and the hash library.
 #pragma once
 
 #include <memory>
@@ -40,15 +40,11 @@ class RequestStream {
 };
 
 /// Stream over an existing Trace — the bridge from materialized to streamed
-/// code paths.  The borrowed form keeps a pointer (the trace must outlive
-/// the stream); the owning form is for sources that must materialize
-/// internally (e.g. the b-model generator, whose cascade is inherently
-/// offline).
+/// code paths.  Borrows the trace, which must outlive the stream.
 class TraceStream final : public RequestStream {
  public:
   explicit TraceStream(const Trace& trace) : trace_(&trace) {}
-  explicit TraceStream(Trace&& trace)
-      : owned_(std::move(trace)), trace_(&owned_) {}
+  explicit TraceStream(Trace&&) = delete;  // would dangle
 
   std::optional<Request> next() override {
     if (i_ >= trace_->size()) return std::nullopt;
@@ -56,7 +52,6 @@ class TraceStream final : public RequestStream {
   }
 
  private:
-  Trace owned_;
   const Trace* trace_;
   std::size_t i_ = 0;
 };

@@ -25,8 +25,7 @@ namespace qos {
 /// non-finite / unrepresentably large timestamps, unknown opcodes.  Empty
 /// lines are malformed too; callers that want parse_spc's skip-counting
 /// semantics (blank lines silently ignored, everything else counted) must
-/// test for emptiness first.  Shared by parse_spc and the chunked/mmap
-/// streaming readers in stream/spc_stream.h so one grammar serves both.
+/// test for emptiness first.  parse_spc applies it line by line.
 bool parse_spc_line(std::string_view line, Request& out);
 
 /// Parse SPC trace text.  Lines parse_spc_line rejects are skipped; a count

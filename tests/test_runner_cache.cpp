@@ -109,6 +109,12 @@ TEST(ResultCache, CorruptDiskEntryIsAMiss) {
   for (const auto& entry : std::filesystem::directory_iterator(dir.str()))
     std::ofstream(entry.path(), std::ios::trunc).close();
   EXPECT_FALSE(cache.get(key_of("c")).has_value());
+  // A header claiming 2^40 payload bytes over a 4-byte body is a miss too,
+  // not an allocation of what it claims.
+  for (const auto& entry : std::filesystem::directory_iterator(dir.str()))
+    std::ofstream(entry.path(), std::ios::trunc)
+        << "qosc1 " << (std::uint64_t{1} << 40) << " 0\ngood";
+  EXPECT_FALSE(cache.get(key_of("c")).has_value());
 }
 
 TEST(ResultCache, DistinctKeysDoNotCollide) {

@@ -6,19 +6,20 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
+#include <algorithm>
+#include <memory>
+#include <vector>
 
 #include "core/fcfs.h"
 #include "core/shaper.h"
+#include "obs/sharded_sink.h"
+#include "obs/sink.h"
 #include "runner/hash.h"
 #include "sim/server.h"
 #include "sim/simulator.h"
 #include "stream/gen_stream.h"
-#include "stream/spc_stream.h"
-#include "stream/stream_sim.h"
+#include "stream/sharded.h"
 #include "trace/presets.h"
-#include "trace/spc.h"
 
 namespace qos {
 namespace {
@@ -88,32 +89,6 @@ TEST(StreamGen, PoissonMatchesMaterialized) {
   expect_same_sequence(trace, *s);
 }
 
-TEST(StreamGen, ParetoOnOffMatchesMaterialized) {
-  Trace trace = generate_pareto_onoff(1'000, 1.5, 0.05, 0.2, kShortRun, 11);
-  auto s = stream::make_pareto_onoff_stream(1'000, 1.5, 0.05, 0.2, kShortRun,
-                                            11);
-  expect_same_sequence(trace, *s);
-}
-
-TEST(StreamGen, RegimeSwitchingMatchesMaterialized) {
-  RegimeSchedule schedule;
-  schedule.phase(0, 300)
-      .phase(10 * kUsPerSec, 3'000,
-             {.batches_per_sec = 5.0, .mean_size = 20, .spread_us = 1'000})
-      .phase(25 * kUsPerSec, 0)
-      .phase(40 * kUsPerSec, 900,
-             {.batches_per_sec = 1.0, .mean_size = 6});
-  Trace trace = generate_regime_switching(schedule, kShortRun, 123);
-  auto s = stream::make_regime_stream(schedule, kShortRun, 123);
-  expect_same_sequence(trace, *s);
-}
-
-TEST(StreamGen, BmodelFallbackMatchesMaterialized) {
-  Trace trace = generate_bmodel(500, 0.75, 12, kShortRun, 9);
-  auto s = stream::make_bmodel_stream(500, 0.75, 12, kShortRun, 9);
-  expect_same_sequence(trace, *s);
-}
-
 TEST(StreamGen, DigestMatchesHashTraceForEveryPreset) {
   for (Workload w : {Workload::kWebSearch, Workload::kFinTrans,
                      Workload::kOpenMail}) {
@@ -176,184 +151,103 @@ TEST(StreamMerge, MatchesTraceMerge) {
     for (std::size_t k = 0; k < count; ++k) tied.push_back(tied_source(k));
     const Trace want = Trace::merge(tied);
     std::vector<std::unique_ptr<RequestStream>> tied_sources;
-    for (Trace& t : tied)
-      tied_sources.push_back(
-          std::make_unique<stream::TraceStream>(std::move(t)));
+    for (const Trace& t : tied)
+      tied_sources.push_back(std::make_unique<stream::TraceStream>(t));
     stream::MergedStream tied_merge(std::move(tied_sources));
     expect_same_sequence(want, tied_merge);
   }
 }
 
+// A one-shard sharded run over one tenant is the streamed form of
+// simulate(): one lane, the same engine calls.  Completions, the event
+// stream (in the sharded sink's canonical order) and the input digest must
+// all equal the materialized reference.
 TEST(StreamSim, CompletionsEventsAndDigestMatchMaterialized) {
-  Trace trace = preset_trace(Workload::kFinTrans, kShortRun);
-  ShapingConfig config;  // Miser, the default policy
+  const Trace trace = preset_trace(Workload::kFinTrans, kShortRun);
+  const ShapingConfig config;  // Miser, the default policy
   const double cmin = 600;
-  const double total = cmin + config.resolved_headroom_iops();
+  auto factory = [&config, cmin](std::uint32_t) {
+    stream::TenantSim sim;
+    sim.scheduler = make_scheduler(config, cmin);
+    sim.servers = make_servers(config, cmin, sim.scheduler->server_count());
+    return sim;
+  };
 
+  // simulate_sharded attaches every lane's scheduler to the lane sink, so
+  // the reference does too: Miser's own events are part of the stream.
   RecordingSink mat_sink;
-  auto mat_sched = make_scheduler(config, cmin);
-  ConstantRateServer mat_server(total);
-  SimResult mat = simulate(trace, *mat_sched, mat_server, &mat_sink);
+  stream::TenantSim ref = factory(0);
+  ASSERT_EQ(ref.servers.size(), 1u);
+  ref.scheduler->attach_observability(&mat_sink, nullptr);
+  const SimResult mat =
+      simulate(trace, *ref.scheduler, *ref.servers[0], &mat_sink);
 
   RecordingSink str_sink;
-  auto str_sched = make_scheduler(config, cmin);
-  ConstantRateServer str_server(total);
   auto s = stream::make_preset_stream(Workload::kFinTrans, kShortRun);
   stream::DigestingStream digesting(*s);
-  SimResult got = stream::collect_stream(digesting, *str_sched, str_server,
-                                         &str_sink);
+  stream::ShardedOptions options;  // shards = 1
+  options.sink = &str_sink;
+  std::vector<CompletionRecord> got;
+  const stream::ShardedStats stats = stream::simulate_sharded(
+      digesting, factory, options,
+      [&got](const CompletionRecord& record) { got.push_back(record); });
 
-  ASSERT_EQ(got.completions.size(), mat.completions.size());
-  for (std::size_t i = 0; i < got.completions.size(); ++i)
-    ASSERT_EQ(got.completions[i], mat.completions[i]) << "at " << i;
-  ASSERT_EQ(str_sink.events().size(), mat_sink.events().size());
-  for (std::size_t i = 0; i < str_sink.events().size(); ++i)
-    ASSERT_EQ(str_sink.events()[i], mat_sink.events()[i]) << "at " << i;
+  ASSERT_EQ(got.size(), mat.completions.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_EQ(got[i], mat.completions[i]) << "at " << i;
+  std::vector<Event> want = mat_sink.events();
+  std::stable_sort(want.begin(), want.end(), canonical_event_before);
+  ASSERT_EQ(str_sink.events().size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i)
+    ASSERT_EQ(str_sink.events()[i], want[i]) << "at " << i;
   EXPECT_EQ(digesting.finish(), hash_trace(trace));
+
+  // The run's counters agree with what the reference observed.
+  EXPECT_EQ(stats.tenants, 1u);
+  EXPECT_EQ(stats.requests, trace.size());
+  EXPECT_EQ(stats.completions, got.size());
+  EXPECT_EQ(stats.dispatches,
+            static_cast<std::uint64_t>(std::count_if(
+                want.begin(), want.end(), [](const Event& e) {
+                  return e.kind == EventKind::kDispatch;
+                })));
+  EXPECT_EQ(stats.makespan, got.back().finish);
+  EXPECT_EQ(stats.events_forwarded, want.size());
 }
 
+// A one-shard run's counters must account for every engine event the sink
+// saw (arrival, dispatch, completion); the only other events are FCFS's
+// one admit per request, since simulate_sharded attaches each lane.
 TEST(StreamSim, StatsCountEngineEvents) {
   auto s = stream::make_poisson_stream(500, kShortRun, 21);
-  FcfsScheduler fcfs;
-  ConstantRateServer server(2'000);
-  Server* servers[] = {&server};
+  auto factory = [](std::uint32_t) {
+    stream::TenantSim sim;
+    sim.scheduler = std::make_unique<FcfsScheduler>();
+    sim.servers.push_back(std::make_unique<ConstantRateServer>(2'000));
+    return sim;
+  };
+  RecordingSink sink;
+  stream::ShardedOptions options;  // shards = 1
+  options.sink = &sink;
   std::uint64_t seen = 0;
-  auto stats = stream::simulate_stream(
-      *s, fcfs, servers, nullptr,
-      [&seen](const CompletionRecord&) { ++seen; });
+  const stream::ShardedStats stats = stream::simulate_sharded(
+      *s, factory, options, [&seen](const CompletionRecord&) { ++seen; });
+  EXPECT_EQ(stats.tenants, 1u);
   EXPECT_EQ(stats.completions, seen);
   EXPECT_EQ(stats.requests, stats.completions);  // FCFS never fans out
-  EXPECT_EQ(stats.events(), stats.requests + stats.dispatches +
-                                stats.completions);
+  EXPECT_EQ(stats.dispatches, stats.requests);
+  auto count = [&sink](EventKind kind) {
+    return static_cast<std::uint64_t>(std::count_if(
+        sink.events().begin(), sink.events().end(),
+        [kind](const Event& e) { return e.kind == kind; }));
+  };
+  EXPECT_EQ(count(EventKind::kArrival), stats.requests);
+  EXPECT_EQ(count(EventKind::kDispatch), stats.dispatches);
+  EXPECT_EQ(count(EventKind::kCompletion), stats.completions);
+  EXPECT_EQ(count(EventKind::kAdmit), stats.requests);
+  EXPECT_EQ(stats.events_forwarded, stats.events() + stats.requests);
+  EXPECT_EQ(sink.events().size(), stats.events_forwarded);
   EXPECT_GT(stats.makespan, 0);
-}
-
-// ---- SPC streaming ----
-
-class StreamSpcFile : public ::testing::Test {
- protected:
-  void write_fixture(const std::string& text) {
-    // Unique per test: ctest runs each test as its own process, in parallel.
-    path_ = ::testing::TempDir() + "stream_spc_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-            ".txt";
-    std::ofstream out(path_, std::ios::binary);
-    out << text;
-  }
-
-  void TearDown() override {
-    if (!path_.empty()) std::remove(path_.c_str());
-  }
-
-  std::string path_;
-};
-
-// In-order body with malformed lines, blank lines, tie timestamps and a
-// mildly out-of-order tail — everything the materialized parser tolerates.
-const char kFixture[] =
-    "0,1234,4096,r,0.000000\n"
-    "\n"
-    "garbage line\n"
-    "1,5678,8192,W,0.125000\n"
-    "2,100,1024,w,0.125000\n"
-    "0,1,512,x,1.0\n"
-    "3,200,512,r,0.500000\n"
-    "1,300,2048,R,0.400000\n"   // out of order by 100 ms
-    "2,400,512,w,0.600000\n";
-
-TEST_F(StreamSpcFile, ChunkedMatchesMaterialized) {
-  write_fixture(kFixture);
-  std::size_t mat_skipped = 0;
-  auto trace = try_load_spc_file(path_, &mat_skipped);
-  ASSERT_TRUE(trace.has_value());
-
-  // A 7-byte chunk forces every line across a refill boundary.
-  for (std::size_t chunk : {std::size_t{7}, std::size_t{1} << 20}) {
-    stream::SpcStreamOptions options;
-    options.chunk_bytes = chunk;
-    auto s = stream::try_open_spc_stream(path_, options);
-    ASSERT_NE(s, nullptr);
-    SCOPED_TRACE(chunk);
-    expect_same_sequence(*trace, *s);
-    EXPECT_EQ(s->skipped_lines(), mat_skipped);
-  }
-}
-
-TEST_F(StreamSpcFile, MmapMatchesMaterialized) {
-  write_fixture(kFixture);
-  auto trace = try_load_spc_file(path_);
-  ASSERT_TRUE(trace.has_value());
-  stream::SpcStreamOptions options;
-  options.use_mmap = true;
-  auto s = stream::try_open_spc_stream(path_, options);
-  ASSERT_NE(s, nullptr);
-  expect_same_sequence(*trace, *s);
-}
-
-TEST_F(StreamSpcFile, NoTrailingNewline) {
-  write_fixture("0,1,512,r,0.5\n0,2,512,w,1.5");
-  auto trace = try_load_spc_file(path_);
-  auto s = stream::try_open_spc_stream(path_);
-  ASSERT_NE(s, nullptr);
-  expect_same_sequence(*trace, *s);
-}
-
-TEST_F(StreamSpcFile, EmptyFile) {
-  write_fixture("");
-  for (bool mmap : {false, true}) {
-    stream::SpcStreamOptions options;
-    options.use_mmap = mmap;
-    auto s = stream::try_open_spc_stream(path_, options);
-    ASSERT_NE(s, nullptr);
-    EXPECT_FALSE(s->next().has_value());
-    EXPECT_EQ(s->skipped_lines(), 0u);
-  }
-}
-
-TEST_F(StreamSpcFile, MissingFileReturnsNull) {
-  EXPECT_EQ(stream::try_open_spc_stream("/nonexistent/definitely/not.spc"),
-            nullptr);
-  stream::SpcStreamOptions options;
-  options.use_mmap = true;
-  EXPECT_EQ(
-      stream::try_open_spc_stream("/nonexistent/definitely/not.spc", options),
-      nullptr);
-}
-
-TEST_F(StreamSpcFile, DisorderBeyondWindowFailsLoudly) {
-  // 2 s of disorder against a 1 s window: the early record is released
-  // before the late one surfaces — the stream must abort, not mis-sort.
-  write_fixture(
-      "0,1,512,r,5.0\n"
-      "0,2,512,r,9.0\n"
-      "0,3,512,r,3.0\n");
-  auto s = stream::try_open_spc_stream(path_);
-  ASSERT_NE(s, nullptr);
-  EXPECT_DEATH(
-      {
-        while (s->next()) {
-        }
-      },
-      "Invariant");
-}
-
-TEST_F(StreamSpcFile, StreamedSimulationMatchesMaterialized) {
-  write_fixture(kFixture);
-  auto trace = try_load_spc_file(path_);
-  ASSERT_TRUE(trace.has_value());
-
-  FcfsScheduler mat_sched;
-  ConstantRateServer mat_server(100);
-  SimResult mat = simulate(*trace, mat_sched, mat_server);
-
-  auto s = stream::try_open_spc_stream(path_);
-  ASSERT_NE(s, nullptr);
-  FcfsScheduler str_sched;
-  ConstantRateServer str_server(100);
-  SimResult got = stream::collect_stream(*s, str_sched, str_server);
-  ASSERT_EQ(got.completions.size(), mat.completions.size());
-  for (std::size_t i = 0; i < got.completions.size(); ++i)
-    ASSERT_EQ(got.completions[i], mat.completions[i]) << "at " << i;
 }
 
 }  // namespace

@@ -498,38 +498,6 @@ TEST(MissAttribution, MiserFaultFreeRunHasZeroSlackViolations) {
   EXPECT_GE(slack.min_slack, 1);
 }
 
-TEST(TraceAnalysis, QueueTimelineReconstruction) {
-  TraceData trace;
-  // Two primaries overlapping, one overflow.
-  RequestSpan a = make_span(0, 0, 100, true);
-  a.enqueue = 10;
-  a.service_start = 40;
-  RequestSpan b = make_span(1, 0, 120, true);
-  b.enqueue = 20;
-  b.service_start = 60;
-  RequestSpan c = make_span(2, 0, 200, false);
-  c.enqueue = 30;
-  c.service_start = 150;
-  trace.spans = {a, b, c};
-
-  const std::vector<QueuePoint> timeline = reconstruct_queue_timeline(trace);
-  ASSERT_EQ(timeline.size(), 6u);
-  std::int64_t peak_q1 = 0, peak_q2 = 0;
-  for (const QueuePoint& p : timeline) {
-    peak_q1 = std::max(peak_q1, p.q1);
-    peak_q2 = std::max(peak_q2, p.q2);
-  }
-  EXPECT_EQ(peak_q1, 2);
-  EXPECT_EQ(peak_q2, 1);
-  // Fully drained at the end.
-  EXPECT_EQ(timeline.back().q1, 0);
-  EXPECT_EQ(timeline.back().q2, 0);
-  EXPECT_TRUE(std::is_sorted(timeline.begin(), timeline.end(),
-                             [](const QueuePoint& x, const QueuePoint& y) {
-                               return x.time < y.time;
-                             }));
-}
-
 TEST(TraceAnalysis, TextReportMentionsEveryCause) {
   const TraceData data = sample_trace_data();
   const std::string text = trace_analysis_text(data, from_ms(10));

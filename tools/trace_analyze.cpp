@@ -6,16 +6,14 @@
 // traced sweep cell, or the single stream of a giant run.  For each stream
 // it prints the deadline-miss attribution (every miss in exactly one cause
 // class) and Miser slack accounting, off the file cursor in O(chunk)
-// memory — a 10^8-span trace analyzes without ever holding the spans.  The
-// queue timeline needs every span at once, so it is omitted here;
-// reconstruct_queue_timeline (obs/trace_analysis.h) computes it from a
-// materialized TraceData.
+// memory — a 10^8-span trace analyzes without ever holding the spans.
 //
 // --delta overrides the deadline recorded in each stream, for what-if
-// analysis against a different SLA.  Exits 1 on unreadable or corrupt
-// input, printing nothing on stdout.
+// analysis against a different SLA; it must be a positive whole number of
+// microseconds, or the tool prints usage and exits 2.  Exits 1 on
+// unreadable or corrupt input, printing nothing on stdout.
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -29,14 +27,24 @@ int usage(const char* argv0) {
   return 2;
 }
 
+/// The whole of `text` as a positive integer, or -1.
+qos::Time parse_delta(const char* text) {
+  const char* end = text + std::strlen(text);
+  qos::Time value = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  return ec == std::errc() && ptr == end && value > 0 ? value : -1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const char* path = nullptr;
   qos::Time delta_override = -1;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--delta") == 0 && i + 1 < argc) {
-      delta_override = std::atoll(argv[++i]);
+    if (std::strcmp(argv[i], "--delta") == 0) {
+      if (i + 1 == argc) return usage(argv[0]);
+      delta_override = parse_delta(argv[++i]);
+      if (delta_override < 0) return usage(argv[0]);
     } else if (std::strcmp(argv[i], "--help") == 0) {
       return usage(argv[0]);
     } else if (path == nullptr) {

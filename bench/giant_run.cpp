@@ -15,9 +15,9 @@
 //
 //   --json   the *performance* numbers — events/sec, wall time, peak RSS
 //            against the --rss-ceiling-mb contract, and the machine-
-//            normalized throughput (events/sec divided by an in-process
-//            calibration rate, the same machine-cancelling trick the online
-//            harness uses) that check_perf.py --stream gates against
+//            normalized throughput (events/sec divided by the in-process
+//            machine-speed reference of bench/calibration.h, shared with the
+//            online harness) that check_perf.py --stream gates against
 //            bench/BENCH_stream.baseline.json (>25% regression fails).
 //
 // The workload is T identical-rate Poisson tenants merged into one stream;
@@ -59,11 +59,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "calibration.h"
 #include "core/shaper.h"
 #include "obs/metrics.h"
 #include "obs/sink.h"
@@ -78,8 +78,6 @@
 namespace {
 
 using namespace qos;
-
-volatile std::uint64_t g_sink = 0;
 
 struct Options {
   std::uint64_t requests = 2'000'000;  ///< expected total (Poisson mean)
@@ -159,31 +157,6 @@ Options parse_args(int argc, char** argv) {
       o.repeats < 1 || o.trace_sample < 1 || o.trace_out.empty())
     usage_abort();
   return o;
-}
-
-// Fixed-cost calibration loop, identical in shape to online_loadgen's: one
-// steady-clock read plus an uncontended lock/unlock and a counter update per
-// op.  events/sec divided by this rate is the machine-normalized throughput
-// check_perf.py --stream gates.
-double calibration_ops_per_sec(int repeats) {
-  constexpr std::uint64_t kOps = 2'000'000;
-  std::mutex m;
-  double best = 0;
-  for (int r = 0; r < repeats; ++r) {
-    std::uint64_t acc = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::uint64_t i = 0; i < kOps; ++i) {
-      const auto now = std::chrono::steady_clock::now();
-      std::lock_guard<std::mutex> lock(m);
-      acc += static_cast<std::uint64_t>(now.time_since_epoch().count());
-    }
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    g_sink = g_sink ^ acc;
-    best = std::max(best, static_cast<double>(kOps) / elapsed);
-  }
-  return best;
 }
 
 std::uint64_t peak_rss_bytes() {
@@ -414,7 +387,7 @@ void write_json(const Options& o, const stream::ShardedStats& stats,
 int run(const Options& o) {
   // Calibrate before the run so the loop measures an otherwise-quiet
   // process, exactly like the online harness.
-  const double calibration = calibration_ops_per_sec(o.repeats);
+  const double calibration = bench::calibration_ops_per_sec(o.repeats);
 
   ObsJson obs;
   obs.traced = o.trace;

@@ -1,77 +1,68 @@
-// Wall-clock load generator for online::Shaper.  Emits BENCH_online.json.
+// Replay harness for online::Shaper.  Emits BENCH_online.json.
 //
-// Measures the admission hot path the way a serving front-end would pay
-// for it: N worker threads hammer one Shaper (SteadyClock, real mutex
-// contention) with arrivals drawn from an MMPP preset or an SPC trace,
-// and each decision's latency is sampled around the admit call.  Per
-// policy the harness runs
+// Measures the admission path as the paper deploys it: each shaped stream
+// has its own Shaper with one caller.  --threads T callers each replay the
+// same arrivals through a Shaper of their own in virtual time
+// (online::replay_trace: admit, poll_dispatch and on_completion at every
+// instant of the simulator's own event loop), per policy.  The arrivals are
+// the first --requests of the --workload preset stream or of the --spc
+// file, so --requests counts per caller.
 //
-//   single  admit() once per request — the per-request price, and
-//   batch   admit_batch() over clusters of --batch — the amortized price,
+// The two output channels separate the two claims:
 //
-// each reporting decisions/sec and admission p50/p99/p999 ns.  A closed
-// loop (default) measures saturation throughput; --target-iops paces an
-// open loop that keeps the trace's inter-arrival shape.
+//   stdout   one line per policy: decisions, Q1, Q2 and a digest of the
+//            decisions and completions.  Every caller of every repeat must
+//            produce the same digest (exit 1 otherwise) and nothing here
+//            depends on timing, so stdout is byte-identical at any
+//            --threads; CI `cmp`s --threads 1 against 4.
 //
-// Decisions/sec on an arbitrary CI runner gates the runner, not the code,
-// so the JSON also carries an in-process calibration rate — a loop of the
-// fixed costs every admission pays (steady-clock read, uncontended
-// lock/unlock, counter update) measured moments before the runs — and each
-// mode's `normalized` throughput (decisions per calibration op).
-// scripts/check_perf.py --online gates that ratio against
-// bench/BENCH_online.baseline.json; see README "Perf baseline".
+//   stderr   decisions/s — callers x requests / wall time of the replays,
+//   --json   best of --repeats — and `normalized`, decisions/s divided by
+//            the in-process machine-speed reference (bench/calibration.h).
+//            scripts/check_perf.py --online gates `normalized` against
+//            bench/BENCH_online.baseline.json; see README "Perf baseline".
 //
-// --load-curve adds the latency-under-load sweep: after the closed-loop
-// saturation measurement, the open-loop pacer replays the trace at a
-// ladder of offered loads (fractions of the measured saturation rate) and
-// reports each point's achieved decisions/sec and admission p50/p99 — the
-// classic hockey-stick curve, emitted as "load_curve" in the JSON.  Each
-// point is sized to ~2 s of pacing so the sweep stays bounded on any
-// machine.  The curve is measured for one policy (miser when selected,
-// the paper's headline recombinator; otherwise the first --policy).
+// Only the replays are timed; the digests are taken afterwards.
 //
 // usage: online_loadgen [--policy fcfs|split|fq|miser|all] [--workload WS|FT|OM]
-//                       [--spc PATH] [--requests N] [--threads T] [--batch B]
-//                       [--target-iops X] [--drain-iops X] [--seed S]
-//                       [--repeats R] [--json PATH] [--load-curve]
+//                       [--spc PATH] [--requests N] [--threads T] [--seed S]
+//                       [--repeats R] [--json PATH]
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "calibration.h"
 #include "core/capacity.h"
-#include "online/loadgen.h"
+#include "online/replay.h"
 #include "online/shaper.h"
+#include "runner/hash.h"
+#include "runner/thread_pool.h"
+#include "stream/gen_stream.h"
 #include "trace/presets.h"
 #include "trace/spc.h"
 #include "trace/trace.h"
-#include "util/clock.h"
 
 namespace {
 
 using namespace qos;
 using namespace qos::online;
 
-volatile std::uint64_t g_sink = 0;
-
 struct Options {
   std::string policy = "all";
   std::string workload = "WS";
   std::string spc_path;
-  std::uint64_t requests = 200'000;
+  std::uint64_t requests = 200'000;  ///< per caller
   int threads = 4;
-  std::uint64_t batch = 64;
-  double target_iops = 0;
-  double drain_iops = 0;
   std::uint64_t seed = 0;
   int repeats = 3;
   std::string json_path = "BENCH_online.json";
-  bool load_curve = false;
 };
 
 [[noreturn]] void usage_abort() {
@@ -79,10 +70,20 @@ struct Options {
       stderr,
       "usage: online_loadgen [--policy fcfs|split|fq|miser|all]\n"
       "                      [--workload WS|FT|OM] [--spc PATH]\n"
-      "                      [--requests N] [--threads T] [--batch B]\n"
-      "                      [--target-iops X] [--drain-iops X] [--seed S]\n"
-      "                      [--repeats R] [--json PATH] [--load-curve]\n");
+      "                      [--requests N] [--threads T] [--seed S]\n"
+      "                      [--repeats R] [--json PATH]\n");
   std::exit(2);
+}
+
+/// The whole of `text` as an integer >= `min`; anything else is a usage
+/// error.
+template <typename T>
+T parse_integer(const char* text, T min) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || value < min) usage_abort();
+  return value;
 }
 
 Options parse_args(int argc, char** argv) {
@@ -100,29 +101,19 @@ Options parse_args(int argc, char** argv) {
     } else if (std::strcmp(a, "--spc") == 0) {
       o.spc_path = value();
     } else if (std::strcmp(a, "--requests") == 0) {
-      o.requests = std::strtoull(value(), nullptr, 10);
+      o.requests = parse_integer<std::uint64_t>(value(), 1);
     } else if (std::strcmp(a, "--threads") == 0) {
-      o.threads = std::atoi(value());
-    } else if (std::strcmp(a, "--batch") == 0) {
-      o.batch = std::strtoull(value(), nullptr, 10);
-    } else if (std::strcmp(a, "--target-iops") == 0) {
-      o.target_iops = std::atof(value());
-    } else if (std::strcmp(a, "--drain-iops") == 0) {
-      o.drain_iops = std::atof(value());
+      o.threads = parse_integer<int>(value(), 1);
     } else if (std::strcmp(a, "--seed") == 0) {
-      o.seed = std::strtoull(value(), nullptr, 10);
+      o.seed = parse_integer<std::uint64_t>(value(), 0);
     } else if (std::strcmp(a, "--repeats") == 0) {
-      o.repeats = std::atoi(value());
+      o.repeats = parse_integer<int>(value(), 1);
     } else if (std::strcmp(a, "--json") == 0) {
       o.json_path = value();
-    } else if (std::strcmp(a, "--load-curve") == 0) {
-      o.load_curve = true;
     } else {
       usage_abort();
     }
   }
-  if (o.requests == 0 || o.threads < 1 || o.batch < 1 || o.repeats < 1)
-    usage_abort();
   return o;
 }
 
@@ -139,6 +130,7 @@ constexpr PolicyEntry kPolicies[] = {
 };
 
 Trace load_arrivals(const Options& o) {
+  std::vector<Request> requests;
   if (!o.spc_path.empty()) {
     auto loaded = try_load_spc_file(o.spc_path);
     if (!loaded.has_value()) {
@@ -146,7 +138,10 @@ Trace load_arrivals(const Options& o) {
                    o.spc_path.c_str());
       std::exit(1);
     }
-    return *std::move(loaded);
+    const std::size_t n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(loaded->size(), o.requests));
+    requests.assign(loaded->begin(), loaded->begin() + n);
+    return Trace(std::move(requests));
   }
   Workload w = Workload::kWebSearch;
   if (o.workload == "WS") {
@@ -158,132 +153,81 @@ Trace load_arrivals(const Options& o) {
   } else {
     usage_abort();
   }
-  // 60 s of arrivals: enough burst structure to shape against, cheap to
-  // profile; the generator cycles it to reach --requests.
-  return preset_trace(w, 60 * kUsPerSec, o.seed);
+  const auto source = stream::make_preset_stream(w, 0, o.seed);
+  while (requests.size() < o.requests) {
+    const std::optional<Request> r = source->next();
+    if (!r.has_value()) break;
+    requests.push_back(*r);
+  }
+  return Trace(std::move(requests));
 }
 
-// Fixed costs every admission pays, measured in-process moments before the
-// runs: one steady-clock read plus one uncontended lock/unlock and a
-// counter update per op.  decisions/sec divided by this rate is the
-// machine-normalized throughput check_perf.py gates.
-double calibration_ops_per_sec(int repeats) {
-  constexpr std::uint64_t kOps = 2'000'000;
-  std::mutex m;
-  double best = 0;
-  for (int r = 0; r < repeats; ++r) {
-    std::uint64_t acc = 0;
+Digest digest_of(const ReplayOutcome& out) {
+  ContentHasher h;
+  for (const Decision& d : out.decisions)
+    h.u64(d.seq)
+        .u64(static_cast<std::uint64_t>(d.admit))
+        .u64(d.demoted ? 1 : 0)
+        .i64(d.deadline)
+        .i64(d.depth)
+        .i64(d.max_q1);
+  for (const CompletionRecord& r : out.sim.completions)
+    h.u64(r.seq)
+        .u64(r.client)
+        .i64(r.arrival)
+        .i64(r.start)
+        .i64(r.finish)
+        .u64(static_cast<std::uint64_t>(r.klass))
+        .u64(r.server);
+  return h.digest();
+}
+
+struct PolicyResult {
+  const char* key = "";
+  std::uint64_t q1 = 0;
+  std::uint64_t q2 = 0;
+  Digest digest;
+  double decisions_per_sec = 0;  ///< the best repeat
+};
+
+PolicyResult run_policy(const PolicyEntry& e, const Options& o,
+                        const Trace& arrivals, double cmin, ThreadPool& pool) {
+  ShaperOptions so;
+  so.shaping.policy = e.policy;
+  so.cmin_iops = cmin;
+  const auto callers = static_cast<std::size_t>(o.threads);
+
+  PolicyResult result;
+  result.key = e.key;
+  std::optional<Digest> agreed;
+  for (int r = 0; r < o.repeats; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
-    for (std::uint64_t i = 0; i < kOps; ++i) {
-      const auto now = std::chrono::steady_clock::now();
-      std::lock_guard<std::mutex> lock(m);
-      acc += static_cast<std::uint64_t>(now.time_since_epoch().count());
-    }
-    const double elapsed =
+    const std::vector<ReplayOutcome> outs = pool.parallel_map(
+        callers, [&](std::size_t) { return replay_trace(arrivals, so); });
+    const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
-    g_sink = g_sink ^ acc;
-    best = std::max(best, static_cast<double>(kOps) / elapsed);
+    result.decisions_per_sec = std::max(
+        result.decisions_per_sec,
+        static_cast<double>(callers * arrivals.size()) / wall);
+
+    for (const ReplayOutcome& out : outs) {
+      const Digest d = digest_of(out);
+      if (agreed.has_value() && !(d == *agreed)) {
+        std::fprintf(stderr,
+                     "online_loadgen: %s: callers disagree (%s vs %s)\n",
+                     e.key, d.to_hex().c_str(), agreed->to_hex().c_str());
+        std::exit(1);
+      }
+      agreed = d;
+    }
+    if (r == 0) {
+      for (const Decision& d : outs.front().decisions)
+        ++(d.admit == Admit::kQ1 ? result.q1 : result.q2);
+    }
   }
-  return best;
-}
-
-struct ModeResult {
-  LoadGenResult best;  ///< the repeat with the highest decisions/sec
-};
-
-ModeResult run_mode(const Options& o, const Trace& arrivals, double cmin,
-                    Policy policy, std::uint64_t batch) {
-  ModeResult out;
-  for (int r = 0; r < o.repeats; ++r) {
-    ShaperOptions so;
-    so.shaping.policy = policy;
-    so.cmin_iops = cmin;
-    SteadyClock clock;
-    Shaper shaper(so, clock);
-
-    LoadGenOptions lg;
-    lg.threads = o.threads;
-    lg.requests = o.requests;
-    lg.target_iops = o.target_iops;
-    lg.batch = batch;
-    lg.drain_iops = o.drain_iops;
-    const LoadGenResult result = run_loadgen(shaper, arrivals, lg);
-    if (result.decisions_per_sec > out.best.decisions_per_sec)
-      out.best = result;
-  }
-  return out;
-}
-
-void print_row(const char* policy, const char* mode, const LoadGenResult& r) {
-  std::printf("%-6s %-7s %12.0f dec/s %8llu q1 %8llu q2 %6llu shed "
-              "p50 %6llu ns  p99 %8llu ns  p999 %8llu ns\n",
-              policy, mode, r.decisions_per_sec,
-              static_cast<unsigned long long>(r.admitted_q1),
-              static_cast<unsigned long long>(r.admitted_q2),
-              static_cast<unsigned long long>(r.shed),
-              static_cast<unsigned long long>(r.p50_ns),
-              static_cast<unsigned long long>(r.p99_ns),
-              static_cast<unsigned long long>(r.p999_ns));
-}
-
-struct CurvePoint {
-  double multiplier = 0;    ///< fraction of the measured saturation rate
-  double offered_iops = 0;  ///< the open-loop pacing target
-  LoadGenResult result;
-};
-
-// Latency-under-load: pace the open loop at a ladder of fractions of the
-// measured closed-loop saturation rate.  Each point issues ~2 s worth of
-// paced arrivals (clamped to [20k, --requests]) so a slow or fast machine
-// sweeps in comparable wall time; the pacer keeps the trace's
-// inter-arrival shape at every point, so rising p99 is queue-state and
-// contention, not burst-shape change.
-std::vector<CurvePoint> run_load_curve(const Options& o,
-                                       const Trace& arrivals, double cmin,
-                                       Policy policy, double saturation) {
-  constexpr double kMultipliers[] = {0.10, 0.25, 0.50, 0.75, 0.90};
-  std::vector<CurvePoint> points;
-  for (double mult : kMultipliers) {
-    CurvePoint p;
-    p.multiplier = mult;
-    p.offered_iops = mult * saturation;
-    const double budget = 2.0 * p.offered_iops;  // ~2 s of pacing
-    const std::uint64_t requests = static_cast<std::uint64_t>(std::clamp(
-        budget, 20'000.0, static_cast<double>(o.requests)));
-
-    ShaperOptions so;
-    so.shaping.policy = policy;
-    so.cmin_iops = cmin;
-    SteadyClock clock;
-    Shaper shaper(so, clock);
-
-    LoadGenOptions lg;
-    lg.threads = o.threads;
-    lg.requests = requests;
-    lg.target_iops = p.offered_iops;
-    lg.batch = 1;
-    lg.drain_iops = o.drain_iops;
-    p.result = run_loadgen(shaper, arrivals, lg);
-    points.push_back(p);
-  }
-  return points;
-}
-
-void json_mode(std::FILE* f, const char* mode, const LoadGenResult& r,
-               double calibration, bool last) {
-  std::fprintf(f,
-               "    \"%s\": {\"decisions_per_sec\": %.0f, "
-               "\"normalized\": %.4f, \"p50_ns\": %llu, \"p99_ns\": %llu, "
-               "\"p999_ns\": %llu, \"q1\": %llu, \"q2\": %llu, "
-               "\"shed\": %llu}%s\n",
-               mode, r.decisions_per_sec, r.decisions_per_sec / calibration,
-               static_cast<unsigned long long>(r.p50_ns),
-               static_cast<unsigned long long>(r.p99_ns),
-               static_cast<unsigned long long>(r.p999_ns),
-               static_cast<unsigned long long>(r.admitted_q1),
-               static_cast<unsigned long long>(r.admitted_q2),
-               static_cast<unsigned long long>(r.shed), last ? "" : ",");
+  result.digest = *agreed;
+  return result;
 }
 
 }  // namespace
@@ -298,55 +242,34 @@ int main(int argc, char** argv) {
   if (selected.empty()) usage_abort();
 
   const Trace arrivals = load_arrivals(options);
+  if (arrivals.empty()) {
+    std::fprintf(stderr, "online_loadgen: no arrivals\n");
+    return 1;
+  }
   // One profiling pass shared by every policy, exactly what an offline
   // planner would hand an online deployment.
   ShapingConfig probe_config;
   const double cmin =
       min_capacity(arrivals, probe_config.fraction, probe_config.delta)
           .cmin_iops;
-  const double calibration = calibration_ops_per_sec(options.repeats);
+  const double calibration = bench::calibration_ops_per_sec(options.repeats);
   std::fprintf(stderr,
-               "online_loadgen: %zu arrivals, cmin %.0f IOPS, calibration "
-               "%.0f ops/s\n",
-               arrivals.size(), cmin, calibration);
+               "online_loadgen: %zu arrivals per caller, %d callers, cmin "
+               "%.0f IOPS, calibration %.0f ops/s\n",
+               arrivals.size(), options.threads, cmin, calibration);
 
-  struct PolicyResult {
-    const char* key;
-    ModeResult single;
-    ModeResult batch;
-  };
+  ThreadPool pool(options.threads);
   std::vector<PolicyResult> results;
   for (const PolicyEntry& e : selected) {
-    PolicyResult pr{e.key, {}, {}};
-    pr.single = run_mode(options, arrivals, cmin, e.policy, 1);
-    pr.batch = run_mode(options, arrivals, cmin, e.policy, options.batch);
-    print_row(e.key, "single", pr.single.best);
-    print_row(e.key, "batch", pr.batch.best);
-    results.push_back(pr);
-  }
-
-  std::vector<CurvePoint> curve;
-  const char* curve_policy = nullptr;
-  if (options.load_curve) {
-    // Prefer miser (the paper's recombinator) when it was measured.
-    const PolicyResult* base = &results.front();
-    for (const PolicyResult& pr : results)
-      if (std::strcmp(pr.key, "miser") == 0) base = &pr;
-    curve_policy = base->key;
-    Policy policy = Policy::kMiser;
-    for (const PolicyEntry& e : kPolicies)
-      if (std::strcmp(e.key, curve_policy) == 0) policy = e.policy;
-    const double saturation = base->single.best.decisions_per_sec;
-    curve = run_load_curve(options, arrivals, cmin, policy, saturation);
-    std::printf("load curve (%s, saturation %.0f dec/s):\n", curve_policy,
-                saturation);
-    for (const CurvePoint& p : curve)
-      std::printf("  %4.0f%%  offered %12.0f  achieved %12.0f dec/s  "
-                  "p50 %6llu ns  p99 %8llu ns\n",
-                  100 * p.multiplier, p.offered_iops,
-                  p.result.decisions_per_sec,
-                  static_cast<unsigned long long>(p.result.p50_ns),
-                  static_cast<unsigned long long>(p.result.p99_ns));
+    const PolicyResult r = run_policy(e, options, arrivals, cmin, pool);
+    std::printf("%-6s decisions %8zu  q1 %8llu  q2 %8llu  digest %s\n", r.key,
+                arrivals.size(), static_cast<unsigned long long>(r.q1),
+                static_cast<unsigned long long>(r.q2),
+                r.digest.to_hex().c_str());
+    std::fprintf(stderr, "online_loadgen: %-6s %12.0f dec/s  normalized %.4f\n",
+                 r.key, r.decisions_per_sec,
+                 r.decisions_per_sec / calibration);
+    results.push_back(r);
   }
 
   std::FILE* f = std::fopen(options.json_path.c_str(), "w");
@@ -357,47 +280,27 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"name\": \"online\",\n");
-  std::fprintf(f, "  \"requests\": %llu,\n",
-               static_cast<unsigned long long>(options.requests));
+  std::fprintf(f, "  \"requests\": %zu,\n", arrivals.size());
   std::fprintf(f, "  \"threads\": %d,\n", options.threads);
-  std::fprintf(f, "  \"batch\": %llu,\n",
-               static_cast<unsigned long long>(options.batch));
   std::fprintf(f, "  \"workload\": \"%s\",\n",
                options.spc_path.empty() ? options.workload.c_str() : "spc");
-  std::fprintf(f, "  \"target_iops\": %.0f,\n", options.target_iops);
   std::fprintf(f, "  \"calibration_ops_per_sec\": %.0f,\n", calibration);
   std::fprintf(f, "  \"policies\": {\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
-    std::fprintf(f, "  \"%s\": {\n", results[i].key);
-    json_mode(f, "single", results[i].single.best, calibration, false);
-    json_mode(f, "batch", results[i].batch.best, calibration, true);
-    std::fprintf(f, "  }%s\n", i + 1 == results.size() ? "" : ",");
+    const PolicyResult& r = results[i];
+    std::fprintf(f,
+                 "  \"%s\": {\n"
+                 "    \"replay\": {\"decisions_per_sec\": %.0f, "
+                 "\"normalized\": %.4f, \"q1\": %llu, \"q2\": %llu, "
+                 "\"digest\": \"%s\"}\n"
+                 "  }%s\n",
+                 r.key, r.decisions_per_sec, r.decisions_per_sec / calibration,
+                 static_cast<unsigned long long>(r.q1),
+                 static_cast<unsigned long long>(r.q2),
+                 r.digest.to_hex().c_str(),
+                 i + 1 == results.size() ? "" : ",");
   }
-  std::fprintf(f, "  }%s\n", curve.empty() ? "" : ",");
-  if (!curve.empty()) {
-    std::fprintf(f, "  \"load_curve\": {\n");
-    std::fprintf(f, "    \"policy\": \"%s\",\n", curve_policy);
-    std::fprintf(f, "    \"points\": [\n");
-    for (std::size_t i = 0; i < curve.size(); ++i) {
-      const CurvePoint& p = curve[i];
-      std::fprintf(
-          f,
-          "      {\"multiplier\": %.2f, \"offered_iops\": %.0f, "
-          "\"achieved_dps\": %.0f, \"p50_ns\": %llu, \"p99_ns\": %llu, "
-          "\"p999_ns\": %llu, \"q1\": %llu, \"q2\": %llu, "
-          "\"shed\": %llu}%s\n",
-          p.multiplier, p.offered_iops, p.result.decisions_per_sec,
-          static_cast<unsigned long long>(p.result.p50_ns),
-          static_cast<unsigned long long>(p.result.p99_ns),
-          static_cast<unsigned long long>(p.result.p999_ns),
-          static_cast<unsigned long long>(p.result.admitted_q1),
-          static_cast<unsigned long long>(p.result.admitted_q2),
-          static_cast<unsigned long long>(p.result.shed),
-          i + 1 == curve.size() ? "" : ",");
-    }
-    std::fprintf(f, "    ]\n");
-    std::fprintf(f, "  }\n");
-  }
+  std::fprintf(f, "  }\n");
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::fprintf(stderr, "online_loadgen: wrote %s\n",

@@ -21,10 +21,10 @@
 // Epochs are virtual-time driven: they fire exactly at multiples of
 // `epoch` as observed through the event stream, so the loop is as
 // deterministic as the stream itself — offline that is simulate()'s
-// single-threaded order, online it is the Shaper's mutex-serialised event
-// order.  (A lull in traffic defers the boundary to the next event, whose
-// timestamp then fires every elapsed epoch in order — run_epoch still sees
-// the exact boundary instants.)
+// single-threaded order, online it is the order of the Shaper's one
+// caller, on whose thread the loop runs.  (A lull in traffic defers the
+// boundary to the next event, whose timestamp then fires every elapsed
+// epoch in order — run_epoch still sees the exact boundary instants.)
 #pragma once
 
 #include <cstdint>

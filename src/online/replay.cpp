@@ -10,37 +10,30 @@ namespace qos::online {
 namespace {
 
 // The engine's front for a replay: each scheduler-facing call goes through
-// the Shaper's public API, with the Shaper's clock kept at the event
-// instant so anything reading it (reconfigure, a decorator) sees the
-// engine's time.
+// the Shaper's public API with the engine's instant passed explicitly.
 class ShaperFront {
  public:
-  ShaperFront(Shaper& shaper, VirtualClock& clock,
-              std::vector<Decision>& decisions)
-      : shaper_(shaper), clock_(clock), decisions_(decisions) {}
+  ShaperFront(Shaper& shaper, std::vector<Decision>& decisions)
+      : shaper_(shaper), decisions_(decisions) {}
 
   int server_count() const { return shaper_.server_count(); }
 
   void arrive(const Request& r, Time now) {
-    clock_.advance_to(now);
     decisions_.push_back(shaper_.admit(r, now));
   }
 
   template <typename Started>
   void fill(Time now, Started&& started) {
-    clock_.advance_to(now);
     for (const DispatchCommand& cmd : shaper_.poll_dispatch(now))
       started(cmd.server, Scheduler::Dispatch{cmd.request, cmd.klass});
   }
 
   void complete(const Request& r, ServiceClass klass, int server, Time now) {
-    clock_.advance_to(now);
     shaper_.on_completion(r, klass, server, now);
   }
 
  private:
   Shaper& shaper_;
-  VirtualClock& clock_;
   std::vector<Decision>& decisions_;
 };
 
@@ -50,7 +43,7 @@ ReplayOutcome replay_trace(const Trace& trace, const ShaperOptions& options) {
   QOS_EXPECTS(options.max_q2_depth == 0);
   QOS_EXPECTS(trace.validate());
 
-  VirtualClock clock;
+  VirtualClock clock;  // never read: the front passes every instant
   Shaper shaper(options, clock);
   const ShapingConfig& shaping = shaper.options().shaping;
   const auto owned =
@@ -59,7 +52,7 @@ ReplayOutcome replay_trace(const Trace& trace, const ShaperOptions& options) {
   ReplayOutcome out;
   out.decisions.reserve(trace.size());
   out.sim.completions.reserve(trace.size());
-  BasicSimEngine<ShaperFront> engine(ShaperFront(shaper, clock, out.decisions),
+  BasicSimEngine<ShaperFront> engine(ShaperFront(shaper, out.decisions),
                                      decorated_servers(shaping, owned),
                                      shaper.event_sink());
   auto collect = [&out](const CompletionRecord& record) {

@@ -106,7 +106,8 @@ Shaper::Shaper(const ShaperOptions& options, Clock& clock)
 
 Shaper::~Shaper() = default;
 
-Decision Shaper::admit_locked(const Request& r, Time now) {
+Decision Shaper::admit(const Request& r, Time now) {
+  advance_to(now);
   // Shed before entering the scheduler: a bounded best-effort queue is the
   // online-only policy knob (the simulator never drops — Q2 is unbounded
   // there), so it must act before the shared algorithm, not inside it.
@@ -131,40 +132,9 @@ Decision Shaper::admit_locked(const Request& r, Time now) {
   return d;
 }
 
-Decision Shaper::admit(const Request& r, Time now) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return admit_locked(r, now);
-}
-
-Decision Shaper::admit(const Request& r) {
-  // The clock is read *inside* the lock: with several threads stamping
-  // their own "now" before acquiring it, the scheduler could observe
-  // decreasing arrival times — a contract violation.  Under the lock the
-  // monotone clock guarantees ordered timestamps.
-  std::lock_guard<std::mutex> lock(mutex_);
-  return admit_locked(r, clock_->now());
-}
-
-std::vector<Decision> Shaper::admit_batch(std::span<const Request> batch,
-                                          Time now) {
-  std::vector<Decision> decisions;
-  decisions.reserve(batch.size());
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const Request& r : batch) decisions.push_back(admit_locked(r, now));
-  return decisions;
-}
-
-std::vector<Decision> Shaper::admit_batch(std::span<const Request> batch) {
-  std::vector<Decision> decisions;
-  decisions.reserve(batch.size());
-  std::lock_guard<std::mutex> lock(mutex_);
-  const Time now = clock_->now();
-  for (const Request& r : batch) decisions.push_back(admit_locked(r, now));
-  return decisions;
-}
-
-void Shaper::poll_dispatch_locked(Time now,
-                                  std::vector<DispatchCommand>& out) {
+std::vector<DispatchCommand> Shaper::poll_dispatch(Time now) {
+  advance_to(now);
+  std::vector<DispatchCommand> out;
   core_.fill(now, [this, &out](int s, const Scheduler::Dispatch& d) {
     if (d.klass == ServiceClass::kOverflow) {
       QOS_CHECK(q2_backlog_ > 0);
@@ -172,84 +142,15 @@ void Shaper::poll_dispatch_locked(Time now,
     }
     out.push_back(DispatchCommand{d.request, d.klass, s});
   });
-}
-
-std::vector<DispatchCommand> Shaper::poll_dispatch(Time now) {
-  std::vector<DispatchCommand> out;
-  std::lock_guard<std::mutex> lock(mutex_);
-  poll_dispatch_locked(now, out);
-  return out;
-}
-
-std::vector<DispatchCommand> Shaper::poll_dispatch() {
-  std::vector<DispatchCommand> out;
-  std::lock_guard<std::mutex> lock(mutex_);
-  poll_dispatch_locked(clock_->now(), out);
   return out;
 }
 
 void Shaper::on_completion(const Request& r, ServiceClass klass, int server,
                            Time now) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  on_completion_locked(r, klass, server, now);
-}
-
-void Shaper::on_completion_locked(const Request& r, ServiceClass klass,
-                                  int server, Time now) {
+  advance_to(now);
   QOS_EXPECTS(server >= 0 && server < core_.server_count());
   QOS_EXPECTS(!core_.idle(server));
   core_.complete(r, klass, server, now);
-}
-
-void Shaper::on_completion(const Request& r, ServiceClass klass,
-                           int server) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  on_completion_locked(r, klass, server, clock_->now());
-}
-
-void Shaper::reconfigure(const std::function<void(Scheduler&, Time)>& fn) {
-  QOS_EXPECTS(fn != nullptr);
-  std::lock_guard<std::mutex> lock(mutex_);
-  fn(*scheduler_, clock_->now());
-}
-
-int Shaper::server_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return core_.server_count();
-}
-
-int Shaper::busy_servers() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return core_.busy();
-}
-
-std::size_t Shaper::q2_backlog() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return q2_backlog_;
-}
-
-std::uint64_t Shaper::admitted_q1() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return admitted_q1_;
-}
-
-std::uint64_t Shaper::admitted_q2() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return admitted_q2_;
-}
-
-std::uint64_t Shaper::shed() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return shed_;
-}
-
-std::uint64_t Shaper::demotions() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return demotions_;
-}
-
-EventSink* Shaper::event_sink() const {
-  return options_.shaping.effective_sink();
 }
 
 }  // namespace qos::online

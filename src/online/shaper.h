@@ -2,11 +2,10 @@
 // request-at-a-time library.
 //
 // Everything the simulator-facing facade (core/shaper.h) does inside
-// simulate()'s event loop is exposed here as four calls a serving front-end
-// can drive against any Clock:
+// simulate()'s event loop is exposed here as three calls a serving
+// front-end can drive against any Clock:
 //
 //   admit(r, now)        -> Decision   classify one arrival (Q1 / Q2 / shed)
-//   admit_batch(rs, now) -> Decisions  same, amortized over a burst
 //   poll_dispatch(now)   -> commands   drain work onto idle backends
 //   on_completion(...)                 report a finished service
 //
@@ -16,17 +15,19 @@
 // uses: admit is DispatchCore::arrive, poll_dispatch is its dispatch fixed
 // point, on_completion is its complete.  The Shaper adds only what serving
 // needs around that core — the bounded-Q2 shed check before arrive, the
-// decision capture, counters, a lock and caller-input checks.  The claim
-// is proved, not asserted: replay_trace() (online/replay.h) runs a Shaper
+// decision capture, counters and caller-input checks.  The claim is
+// proved, not asserted: replay_trace() (online/replay.h) runs a Shaper
 // inside the simulator's own engine from a trace, and the differential
 // tests assert the decisions, the completion records and the emitted event
 // stream are bit-identical to shape_and_run's, per policy.
 //
-// Threading: all public methods are thread-safe behind one internal mutex
-// (uncontended cost is part of what bench/online_loadgen measures).  Event
-// sinks, the registry and the tracer are invoked under that lock, so any
-// single-threaded sink works unchanged.  admit_batch holds the lock once
-// per burst — the amortization lever for arrival bursts.
+// Threading: one caller per Shaper.  The paper shapes each client's stream
+// on its own, so a stream stays one sequential unit and parallelism goes
+// across Shapers, one per stream (bench/online_loadgen runs one per caller
+// thread).  Event sinks, the registry and the tracer run on that caller's
+// thread, inside the call that emits; a controller in the sink chain
+// (control/control_loop.h) re-provisions the scheduler there too, between
+// two decisions.
 //
 // Ownership/lifetime: see the observability contract on ShapingConfig
 // (core/shaper.h) — the Shaper calls wire_sinks() at construction and
@@ -35,9 +36,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
-#include <mutex>
-#include <span>
 #include <vector>
 
 #include "core/shaper.h"
@@ -45,6 +45,7 @@
 #include "obs/sink.h"
 #include "sim/dispatch_core.h"
 #include "sim/scheduler.h"
+#include "util/check.h"
 #include "util/clock.h"
 #include "util/time.h"
 
@@ -142,75 +143,66 @@ class Shaper {
   Shaper& operator=(const Shaper&) = delete;
 
   /// Classify one arrival at an explicit instant.  `now` must be >=
-  /// every instant previously passed in (the scheduler contract); the
-  /// request's `arrival` field is ignored in favour of `now`.
+  /// every instant previously passed to admit, poll_dispatch or
+  /// on_completion (the scheduler contract; checked); the request's
+  /// `arrival` field is ignored in favour of `now`.
   Decision admit(const Request& r, Time now);
   /// Convenience: stamp `now` from the clock.
-  Decision admit(const Request& r);
-
-  /// Classify a burst under one lock acquisition.  Equivalent to calling
-  /// admit() per request in order (tests assert decision-for-decision
-  /// equality); the batch is the cheaper call when arrivals cluster.
-  std::vector<Decision> admit_batch(std::span<const Request> batch, Time now);
-  std::vector<Decision> admit_batch(std::span<const Request> batch);
+  Decision admit(const Request& r) { return admit(r, clock_->now()); }
 
   /// Drain dispatchable work onto idle backends.  Returns the commands in
   /// the exact order the simulator's offer loop would have issued them;
   /// each command's backend is busy until its on_completion.  Empty when
-  /// nothing is dispatchable (all backends busy, or queues empty).
+  /// nothing is dispatchable (all backends busy, or queues empty).  `now`
+  /// obeys admit's rule.
   std::vector<DispatchCommand> poll_dispatch(Time now);
-  std::vector<DispatchCommand> poll_dispatch();
+  std::vector<DispatchCommand> poll_dispatch() {
+    return poll_dispatch(clock_->now());
+  }
 
   /// Report that `server` finished serving `r` (previously handed out by
-  /// poll_dispatch with class `klass`) at `now`.  Frees the backend; call
-  /// poll_dispatch afterwards to refill it.
+  /// poll_dispatch with class `klass`) at `now`, which obeys admit's rule.
+  /// Frees the backend; call poll_dispatch afterwards to refill it.
   void on_completion(const Request& r, ServiceClass klass, int server,
                      Time now);
-  void on_completion(const Request& r, ServiceClass klass, int server);
+  void on_completion(const Request& r, ServiceClass klass, int server) {
+    on_completion(r, klass, server, clock_->now());
+  }
 
-  /// Run `fn(scheduler, now)` under the Shaper's lock, `now` stamped from
-  /// the clock — the control-plane epoch seam: a controller can
-  /// re-provision the backend (e.g. ControlledTenantScheduler::
-  /// set_tenant_capacity) atomically with respect to concurrent
-  /// admissions, so no decision ever sees a half-applied plan.  `fn` must
-  /// not call back into this Shaper (the lock is held, non-reentrant).
-  void reconfigure(const std::function<void(Scheduler&, Time)>& fn);
+  // ---- introspection ----
 
-  // ---- introspection (each takes the lock) ----
-
-  int server_count() const;
+  int server_count() const { return core_.server_count(); }
   /// Backends currently serving a dispatched request.
-  int busy_servers() const;
+  int busy_servers() const { return core_.busy(); }
   /// Requests admitted to Q2 and not yet dispatched.
-  std::size_t q2_backlog() const;
-  std::uint64_t admitted_q1() const;
-  std::uint64_t admitted_q2() const;
-  std::uint64_t shed() const;
-  std::uint64_t demotions() const;
+  std::size_t q2_backlog() const { return q2_backlog_; }
+  std::uint64_t admitted_q1() const { return admitted_q1_; }
+  std::uint64_t admitted_q2() const { return admitted_q2_; }
+  std::uint64_t shed() const { return shed_; }
+  std::uint64_t demotions() const { return demotions_; }
 
   const ShaperOptions& options() const { return options_; }
-  /// The clock this Shaper stamps from (the one passed at construction).
-  Clock& clock() { return *clock_; }
   /// The effective downstream sink (tracer head or plain sink; null when
   /// unobserved) — what a backend/server decorator should emit into so its
   /// events share the stream, mirroring simulate()'s sink forwarding.
-  EventSink* event_sink() const;
+  EventSink* event_sink() const { return options_.shaping.effective_sink(); }
 
  private:
   class DecisionCapture;
 
-  Decision admit_locked(const Request& r, Time now);
-  void poll_dispatch_locked(Time now, std::vector<DispatchCommand>& out);
-  void on_completion_locked(const Request& r, ServiceClass klass, int server,
-                            Time now);
+  /// The scheduler contract of the three calls: instants never decrease.
+  void advance_to(Time now) {
+    QOS_EXPECTS(now >= last_now_);
+    last_now_ = now;
+  }
 
   ShaperOptions options_;
   Clock* clock_;
 
-  mutable std::mutex mutex_;
   std::unique_ptr<DecisionCapture> capture_;
   std::unique_ptr<Scheduler> scheduler_;
   DispatchCore core_;          ///< the simulator's scheduler calls
+  Time last_now_ = std::numeric_limits<Time>::min();  ///< latest instant
   std::size_t q2_backlog_ = 0;
   std::uint64_t admitted_q1_ = 0;
   std::uint64_t admitted_q2_ = 0;

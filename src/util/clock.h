@@ -4,9 +4,9 @@
 // simulator advances a VirtualClock from trace timestamps; the online
 // serving layer (src/online) stamps decisions from a SteadyClock backed by
 // std::chrono::steady_clock.  Code written against `Clock` — the
-// online::Shaper convenience overloads, the load generator — runs unchanged
-// under either, which is what makes the simulated-vs-online differential
-// tests possible: same algorithm, different clock.
+// online::Shaper convenience overloads — runs unchanged under either, which
+// is what makes the simulated-vs-online differential tests possible: same
+// algorithm, different clock.
 //
 // Both concrete clocks are monotone.  VirtualClock enforces it with a
 // precondition (time travel in an event loop is a bug, not a feature);

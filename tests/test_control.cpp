@@ -456,24 +456,25 @@ TEST(ControlPlane, OnlineShaperMatchesOfflineHarness) {
 }
 
 TEST(ControlPlane, ShaperReconfigureAppliesAtomically) {
-  // The reconfigure() seam: an external controller shrinks a tenant's share
-  // between admissions; the very next decision sees the new bound.
+  // An external controller shrinks a tenant's share between admissions; the
+  // very next decision sees the new bound.
+  ControlledTenantScheduler* scheduler = nullptr;
   online::ShaperOptions options;
   options.shaping.delta = from_ms(10);
-  options.make_custom_scheduler = [] {
-    return std::unique_ptr<Scheduler>(
-        std::make_unique<ControlledTenantScheduler>(std::vector<double>{500.0},
-                                                    from_ms(10), 600.0));
+  options.make_custom_scheduler = [&scheduler] {
+    auto s = std::make_unique<ControlledTenantScheduler>(
+        std::vector<double>{500.0}, from_ms(10), 600.0);
+    scheduler = s.get();
+    return std::unique_ptr<Scheduler>(std::move(s));
   };
   VirtualClock clock;
   online::Shaper shaper(options, clock);
+  ASSERT_NE(scheduler, nullptr);
 
   Request r;
   r.seq = 0;
   EXPECT_EQ(shaper.admit(r, 0).admit, online::Admit::kQ1);
-  shaper.reconfigure([](Scheduler& s, Time) {
-    static_cast<ControlledTenantScheduler&>(s).set_tenant_capacity(0, 100);
-  });
+  scheduler->set_tenant_capacity(0, 100);
   r.seq = 1;
   const online::Decision d = shaper.admit(r, 1);
   EXPECT_EQ(d.admit, online::Admit::kQ2);  // 1-slot bound already occupied

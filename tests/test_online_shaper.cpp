@@ -4,10 +4,11 @@
 // logic of its own: a Shaper driven by a VirtualClock from a trace must
 // reproduce shape_and_run byte for byte — decisions, completion records,
 // event stream — for every recombination policy.  The rest of the suite
-// covers the online-only surface: batch equivalence, bounded-Q2 shedding,
-// degraded admission.
+// covers the online-only surface: bounded-Q2 shedding, degraded admission,
+// the monotone-instant contract, and Shapers on separate threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/shaper.h"
@@ -15,7 +16,9 @@
 #include "obs/sink.h"
 #include "online/replay.h"
 #include "online/shaper.h"
+#include "runner/thread_pool.h"
 #include "trace/generator.h"
+#include "trace/presets.h"
 #include "util/clock.h"
 
 namespace qos {
@@ -137,38 +140,6 @@ TEST(OnlineShaperDifferential, MetricsRegistrySeesTheSameCounts) {
     ASSERT_NE(mirrored, nullptr) << name;
     EXPECT_EQ(mirrored->value(), counter.value()) << name;
   }
-}
-
-TEST(OnlineShaper, BatchMatchesSingleDecisionForDecision) {
-  // Two identical Shapers; one admits a burst request-by-request, the other
-  // in one admit_batch call at the same instant.
-  ShaperOptions options;
-  options.shaping.policy = Policy::kMiser;
-  options.cmin_iops = 300;
-
-  VirtualClock clock_single, clock_batch;
-  Shaper single(options, clock_single);
-  Shaper batch(options, clock_batch);
-
-  std::vector<Request> burst;
-  for (std::uint64_t i = 0; i < 64; ++i)
-    burst.push_back(Request{.arrival = 1'000, .seq = i});
-
-  std::vector<Decision> singles;
-  for (const Request& r : burst) singles.push_back(single.admit(r, 1'000));
-  const std::vector<Decision> batched = batch.admit_batch(burst, 1'000);
-
-  ASSERT_EQ(batched.size(), singles.size());
-  for (std::size_t i = 0; i < singles.size(); ++i)
-    EXPECT_EQ(batched[i], singles[i]) << "decision " << i;
-  EXPECT_EQ(batch.admitted_q1(), single.admitted_q1());
-  EXPECT_EQ(batch.admitted_q2(), single.admitted_q2());
-  EXPECT_EQ(batch.q2_backlog(), single.q2_backlog());
-
-  // And the dispatch side agrees too.
-  const std::vector<DispatchCommand> ds = single.poll_dispatch(1'000);
-  const std::vector<DispatchCommand> db = batch.poll_dispatch(1'000);
-  EXPECT_EQ(db, ds);
 }
 
 TEST(OnlineShaper, BoundedQ2ShedsInsteadOfQueueing) {
@@ -302,6 +273,50 @@ TEST(OnlineShaper, ConvenienceOverloadsStampFromTheClock) {
   // The request the scheduler saw was stamped with the clock's instant,
   // not the (unset) arrival field.
   EXPECT_EQ(cmds[0].request.arrival, 5'000);
+}
+
+TEST(OnlineShaper, InstantsThatGoBackwardsAreRejected) {
+  // After an admit and a dispatch at 10,000, a completion, an admission and
+  // a poll each hand the Shaper an earlier instant.
+  ShaperOptions options;
+  options.cmin_iops = 500;
+
+  VirtualClock clock;
+  Shaper shaper(options, clock);
+  const Request r{.seq = 0};
+  ASSERT_EQ(shaper.admit(r, 10'000).admit, Admit::kQ1);
+  const std::vector<DispatchCommand> cmds = shaper.poll_dispatch(10'000);
+  ASSERT_EQ(cmds.size(), 1u);
+  const DispatchCommand& cmd = cmds[0];
+
+  EXPECT_DEATH(shaper.on_completion(cmd.request, cmd.klass, cmd.server, 5'000),
+               "Precondition");
+  EXPECT_DEATH((void)shaper.admit(Request{.seq = 1}, 1'000), "Precondition");
+  EXPECT_DEATH((void)shaper.poll_dispatch(9'999), "Precondition");
+}
+
+TEST(OnlineShaper, ShapersOnSeparateThreadsMatchTheSerialReplay) {
+  // One Shaper per caller thread: replays running side by side share no
+  // state, so each equals the serial replay decision for decision.
+  const Trace trace = preset_trace(Workload::kWebSearch, 20 * kUsPerSec);
+  ShaperOptions options;
+  options.shaping.policy = Policy::kMiser;
+  options.cmin_iops = 300;  // below the trace's Cmin: both classes fill
+  const ReplayOutcome serial = online::replay_trace(trace, options);
+  const auto q2 = std::count_if(
+      serial.decisions.begin(), serial.decisions.end(),
+      [](const Decision& d) { return d.admit == Admit::kQ2; });
+  ASSERT_GT(q2, 0);
+  ASSERT_LT(static_cast<std::size_t>(q2), trace.size());
+
+  ThreadPool pool(4);
+  const std::vector<ReplayOutcome> parallel = pool.parallel_map(
+      4, [&](std::size_t) { return online::replay_trace(trace, options); });
+  for (std::size_t i = 0; i < parallel.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(parallel[i].decisions, serial.decisions);
+    EXPECT_EQ(parallel[i].sim.completions, serial.sim.completions);
+  }
 }
 
 }  // namespace

@@ -63,6 +63,7 @@
 #include <string>
 #include <vector>
 
+#include "args.h"
 #include "calibration.h"
 #include "core/shaper.h"
 #include "obs/metrics.h"
@@ -121,21 +122,22 @@ Options parse_args(int argc, char** argv) {
       return argv[++i];
     };
     if (std::strcmp(a, "--requests") == 0) {
-      o.requests = std::strtoull(value(), nullptr, 10);
+      o.requests =
+          bench::parse_number<std::uint64_t>(value(), 1, usage_abort);
     } else if (std::strcmp(a, "--tenants") == 0) {
-      o.tenants = std::atoi(value());
+      o.tenants = bench::parse_number(value(), 1, usage_abort);
     } else if (std::strcmp(a, "--duration-sec") == 0) {
-      o.duration_sec = std::atof(value());
+      o.duration_sec = bench::parse_number(value(), 0.0, usage_abort);
     } else if (std::strcmp(a, "--shards") == 0) {
-      o.shards = std::atoi(value());
+      o.shards = bench::parse_number(value(), 1, usage_abort);
     } else if (std::strcmp(a, "--lookahead-us") == 0) {
-      o.lookahead_us = std::strtoll(value(), nullptr, 10);
+      o.lookahead_us = bench::parse_number<Time>(value(), 1, usage_abort);
     } else if (std::strcmp(a, "--seed") == 0) {
-      o.seed = std::strtoull(value(), nullptr, 10);
+      o.seed = bench::parse_number<std::uint64_t>(value(), 0, usage_abort);
     } else if (std::strcmp(a, "--rss-ceiling-mb") == 0) {
-      o.rss_ceiling_mb = std::atof(value());
+      o.rss_ceiling_mb = bench::parse_number(value(), 0.0, usage_abort);
     } else if (std::strcmp(a, "--repeats") == 0) {
-      o.repeats = std::atoi(value());
+      o.repeats = bench::parse_number(value(), 1, usage_abort);
     } else if (std::strcmp(a, "--json") == 0) {
       o.json_path = value();
     } else if (std::strcmp(a, "--trace") == 0) {
@@ -143,7 +145,8 @@ Options parse_args(int argc, char** argv) {
     } else if (std::strcmp(a, "--trace-out") == 0) {
       o.trace_out = value();
     } else if (std::strcmp(a, "--trace-sample") == 0) {
-      o.trace_sample = std::strtoull(value(), nullptr, 10);
+      o.trace_sample =
+          bench::parse_number<std::uint64_t>(value(), 1, usage_abort);
     } else if (std::strcmp(a, "--metrics") == 0) {
       o.metrics = true;
     } else if (std::strcmp(a, "--overhead") == 0) {
@@ -152,9 +155,7 @@ Options parse_args(int argc, char** argv) {
       usage_abort();
     }
   }
-  if (o.requests == 0 || o.tenants < 1 || o.duration_sec <= 0 ||
-      o.shards < 1 || o.lookahead_us < 1 || o.rss_ceiling_mb <= 0 ||
-      o.repeats < 1 || o.trace_sample < 1 || o.trace_out.empty())
+  if (o.duration_sec <= 0 || o.rss_ceiling_mb <= 0 || o.trace_out.empty())
     usage_abort();
   return o;
 }

@@ -28,7 +28,6 @@
 //                       [--spc PATH] [--requests N] [--threads T] [--seed S]
 //                       [--repeats R] [--json PATH]
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -38,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "args.h"
 #include "calibration.h"
 #include "core/capacity.h"
 #include "online/replay.h"
@@ -75,17 +75,6 @@ struct Options {
   std::exit(2);
 }
 
-/// The whole of `text` as an integer >= `min`; anything else is a usage
-/// error.
-template <typename T>
-T parse_integer(const char* text, T min) {
-  const char* end = text + std::strlen(text);
-  T value{};
-  const auto [ptr, ec] = std::from_chars(text, end, value);
-  if (ec != std::errc() || ptr != end || value < min) usage_abort();
-  return value;
-}
-
 Options parse_args(int argc, char** argv) {
   Options o;
   for (int i = 1; i < argc; ++i) {
@@ -101,13 +90,14 @@ Options parse_args(int argc, char** argv) {
     } else if (std::strcmp(a, "--spc") == 0) {
       o.spc_path = value();
     } else if (std::strcmp(a, "--requests") == 0) {
-      o.requests = parse_integer<std::uint64_t>(value(), 1);
+      o.requests =
+          bench::parse_number<std::uint64_t>(value(), 1, usage_abort);
     } else if (std::strcmp(a, "--threads") == 0) {
-      o.threads = parse_integer<int>(value(), 1);
+      o.threads = bench::parse_number(value(), 1, usage_abort);
     } else if (std::strcmp(a, "--seed") == 0) {
-      o.seed = parse_integer<std::uint64_t>(value(), 0);
+      o.seed = bench::parse_number<std::uint64_t>(value(), 0, usage_abort);
     } else if (std::strcmp(a, "--repeats") == 0) {
-      o.repeats = parse_integer<int>(value(), 1);
+      o.repeats = bench::parse_number(value(), 1, usage_abort);
     } else if (std::strcmp(a, "--json") == 0) {
       o.json_path = value();
     } else {

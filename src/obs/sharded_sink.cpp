@@ -1,6 +1,7 @@
 #include "obs/sharded_sink.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 namespace qos {
@@ -23,88 +24,22 @@ EventSink* ShardedEventSink::lane(std::uint32_t key) {
   return it->get();
 }
 
-void ShardedEventSink::merge_and_forward(
-    const std::vector<const std::vector<Event>*>& bufs) {
-  // Ties across lanes are impossible — a seq belongs to exactly one lane —
-  // so the inter-lane merge order is forced by the comparator alone, and
-  // stability only matters within a lane, where the insertion invariant
-  // already settled it.
-  //
-  // Merge the sorted lane runs straight into the downstream sink with a
-  // cursor per run: zero copies, and with the usual handful of lanes the
-  // scan costs a comparison or two per event against the ~3x 48-byte moves
-  // a concatenate-and-sort pays.  The cursor list is kept in ascending lane
-  // order so equal keys (impossible, but cheap to honor) would resolve
-  // lane-ascending.
-  std::vector<Cursor>& cursors = cursor_scratch_;
-  cursors.clear();
-  cursors.reserve(bufs.size());
-  for (const std::vector<Event>* buf : bufs) {
-    if (!buf->empty())
-      cursors.push_back({buf->data(), buf->data() + buf->size()});
-  }
-  if (cursors.size() > kMaxLinearMergeLanes) {
-    // Many lanes: the cursor scan would cost O(lanes) per event; fall back
-    // to concatenate + stable sort (O(log n) per event, lane-count free).
-    merge_scratch_.clear();
-    for (const Cursor& c : cursors)
-      merge_scratch_.insert(merge_scratch_.end(), c.it, c.end);
-    std::stable_sort(merge_scratch_.begin(), merge_scratch_.end(),
-                     canonical_event_before);
-    forwarded_ += merge_scratch_.size();
-    for (const Event& e : merge_scratch_) {
-      digest_.fold(e);
-      if (downstream_ != nullptr) downstream_->on_event(e);
-    }
-    merge_scratch_.clear();
-    return;
-  }
-  while (!cursors.empty()) {
-    if (cursors.size() == 1) {
-      // Sole survivor: forward its remaining run with no comparisons.
-      for (const Event* it = cursors[0].it; it != cursors[0].end; ++it) {
-        ++forwarded_;
-        digest_.fold(*it);
-        if (downstream_ != nullptr) downstream_->on_event(*it);
-      }
-      break;
-    }
-    std::size_t best = 0, second = 1;
-    if (canonical_event_before(*cursors[1].it, *cursors[0].it)) {
-      best = 1;
-      second = 0;
-    }
-    for (std::size_t i = 2; i < cursors.size(); ++i) {
-      if (canonical_event_before(*cursors[i].it, *cursors[best].it)) {
-        second = best;
-        best = i;
-      } else if (canonical_event_before(*cursors[i].it, *cursors[second].it)) {
-        second = i;
-      }
-    }
-    // Forward the best lane's whole run up to the runner-up's head: one
-    // comparison per event instead of a fresh min scan over every lane.
-    Cursor& c = cursors[best];
-    const Event* stop = cursors[second].it;
-    do {
-      const Event& e = *c.it++;
-      ++forwarded_;
-      digest_.fold(e);
-      if (downstream_ != nullptr) downstream_->on_event(e);
-    } while (c.it != c.end && canonical_event_before(*c.it, *stop));
-    if (c.it == c.end)
-      cursors.erase(cursors.begin() + static_cast<std::ptrdiff_t>(best));
+void ShardedEventSink::merge_and_forward() {
+  const std::span<const Event* const> ordered = order_.sort();
+  forwarded_ += ordered.size();
+  for (const Event* e : ordered) {
+    digest_.fold(*e);
+    if (downstream_ != nullptr) downstream_->on_event(*e);
   }
 }
 
 void ShardedEventSink::flush() {
   if (!overlap_drain_) {
-    // Inline drain: merge directly out of the lane buffers (zero-copy) on
+    // Inline drain: order straight out of the lane buffers (zero-copy) on
     // the calling thread, then reset them.
-    view_scratch_.clear();
-    for (auto& l : lanes_)
-      if (!l->buffer().empty()) view_scratch_.push_back(&l->buffer());
-    merge_and_forward(view_scratch_);
+    order_.clear();
+    for (const auto& l : lanes_) order_.append(l->buffer());
+    merge_and_forward();
     for (auto& l : lanes_) l->buffer().clear();
     return;
   }
@@ -146,9 +81,9 @@ void ShardedEventSink::drain_loop() {
       draining_ = true;
       cv_.notify_all();  // the producer may queue the next window
     }
-    view_scratch_.clear();
-    for (const auto& buf : window) view_scratch_.push_back(&buf);
-    merge_and_forward(view_scratch_);  // exclusive: only this thread merges
+    order_.clear();
+    for (const auto& buf : window) order_.append(buf);
+    merge_and_forward();  // exclusive: only this thread merges
     {
       std::lock_guard<std::mutex> lk(mu_);
       draining_ = false;

@@ -12,17 +12,20 @@
 //     an insertion invariant — cheap on the worker, because a lane's clock
 //     never rewinds, so an insert is almost always an append;
 //   * at each virtual-time barrier the coordinator calls flush(), which
-//     merges the presorted lane buffers in that same total order — the one
-//     the completion merge uses — and forwards the merged run downstream.
+//     orders the window's lane buffers in that same total order — the one
+//     the completion merge uses — with a radix pass on time
+//     (util/window_order.h), and forwards the ordered run downstream.
 //
 // Why this order is canonical: lane buffer contents are a pure function of
 // each lane's input (never of the shard count or thread schedule), the
-// concatenation order is fixed, and the sort is deterministic — so the
-// downstream sink sees one byte-identical stream at any shard count,
-// including the shards = 1 serial reference.  Ties in (time, seq, server)
-// can only be two emissions for the *same request* at the same instant
-// (seq is globally unique), which always come from the same lane, where the
-// stable sort preserves their original lifecycle emission order.
+// lanes are concatenated in ascending key order, and the window order is
+// exactly what std::stable_sort gives that concatenation — time by a stable
+// radix pass, then (seq, server) by a stable pass over each equal-time
+// group — so the downstream sink sees one byte-identical stream at any
+// shard count, including the shards = 1 serial reference.  Ties in (time,
+// seq, server) can only be two emissions for the *same request* at the same
+// instant (seq is globally unique), which always come from the same lane;
+// both passes are stable, so they keep their lifecycle emission order.
 //
 // Note the canonical order is a contract of its own, not a replay of one
 // lane's emission order: at a shared instant, events sort by seq across
@@ -32,7 +35,7 @@
 // probes) are insensitive to this; consumers that need engine emission
 // order should attach to a lane directly.
 //
-// Drain overlap: merging, digesting and the downstream consumer chain
+// Drain overlap: ordering, digesting and the downstream consumer chain
 // (Tracer, stream writer) are inherently serial — a globally ordered stream
 // has one consumer.  Run inline at the barrier they serialize against the
 // simulation (Amdahl); with overlap_drain the flush instead *hands the
@@ -47,11 +50,11 @@
 // consumers are safe to read from the caller again.
 //
 // Memory: one barrier window of events per lane, twice (one filling, one
-// draining), plus the merge scratch.  Windows are sized by work on the
-// lookahead grid (stream/sharded.h): a window's events come from at most
-// its arrival target plus one lookahead slice of arrivals, and from the
-// completions retiring meanwhile — not from burst density times the
-// lookahead, and never from the whole run.
+// draining), plus the ordering scratch (32 bytes per event of a window).
+// Windows are sized by work on the lookahead grid (stream/sharded.h): a
+// window's events come from at most its arrival target plus one lookahead
+// slice of arrivals, and from the completions retiring meanwhile — not from
+// burst density times the lookahead, and never from the whole run.
 #pragma once
 
 #include <condition_variable>
@@ -64,13 +67,14 @@
 
 #include "obs/event.h"
 #include "obs/sink.h"
+#include "util/window_order.h"
 
 namespace qos {
 
 /// Returns true when `a` precedes `b` in the canonical merged event order
 /// (time, then seq, then server).  Exposed so tests and reference merges
-/// can reproduce the exact order.  Inline: it runs a handful of times per
-/// event on the giant-run hot path (lane insertion + cursor merge).
+/// can reproduce the exact order.  Inline: it runs on the giant-run hot
+/// path (lane insertion, and the equal-time groups of the window order).
 inline bool canonical_event_before(const Event& a, const Event& b) {
   if (a.time != b.time) return a.time < b.time;
   if (a.seq != b.seq) return a.seq < b.seq;
@@ -79,8 +83,8 @@ inline bool canonical_event_before(const Event& a, const Event& b) {
 
 /// Order-sensitive 128-bit digest of a canonical event stream — the
 /// cross-shard identity witness.  Two runs forwarded the byte-identical
-/// stream iff their digests match (up to hash collisions); computed inline
-/// during the merge so certifying the stream costs no extra pass.
+/// stream iff their digests match (up to hash collisions); folded as each
+/// event is forwarded, so certifying the stream costs no extra pass.
 struct EventStreamDigest {
   std::uint64_t hi = 0xcbf29ce484222325ull;
   std::uint64_t lo = 0x9ae16a3b2f90404full;
@@ -146,7 +150,7 @@ class ShardedEventSink {
   /// advancing, e.g. at lane creation.
   EventSink* lane(std::uint32_t key);
 
-  /// Merge every lane's buffered events canonically and forward them
+  /// Order every lane's buffered events canonically and forward them
   /// downstream (inline, or via the drain thread with overlap_drain), then
   /// leave the lane buffers empty.  Coordinator-thread only, after the
   /// barrier: no lane may be mid-advance.
@@ -164,7 +168,7 @@ class ShardedEventSink {
   std::uint64_t forwarded() const { return forwarded_; }
 
   /// Digest of the canonical stream forwarded so far — equal across runs iff
-  /// the merged streams were identical.  Folded inline during the merge, so
+  /// the merged streams were identical.  Folded as events are forwarded, so
   /// reading it is free; also maintained when downstream is null, so a dry
   /// run can still certify stream identity.  With overlap_drain, stable
   /// only after finish().
@@ -182,9 +186,9 @@ class ShardedEventSink {
     /// Sorted insert, maintaining canonical order as an invariant.  A lane's
     /// virtual clock never rewinds, so the new event almost always belongs
     /// at the end (one comparison, plain append); same-instant emissions
-    /// bubble back a step or two.  Distributing the sort over insertions —
-    /// on the worker thread that owns the lane — leaves the coordinator's
-    /// flush a pure merge of presorted runs, with no per-window sort pass.
+    /// bubble back a step or two.  Sorting on insertion — on the worker
+    /// thread that owns the lane — leaves the window order's equal-time
+    /// passes only the cross-lane inversions to settle.
     void on_event(const Event& e) override {
       buffer_.push_back(e);
       for (std::size_t m = buffer_.size() - 1;
@@ -201,30 +205,19 @@ class ShardedEventSink {
     std::vector<Event> buffer_;
   };
 
-  /// Above this many active lanes, flush switches from the zero-copy
-  /// cursor merge (O(lanes) per event) to concatenate + stable sort.
-  static constexpr std::size_t kMaxLinearMergeLanes = 8;
-
-  struct Cursor {
-    const Event* it;
-    const Event* end;
-  };
-
   /// One sealed barrier window: the non-empty lane buffers, ascending lane
   /// order, each canonically sorted.
   using Window = std::vector<std::vector<Event>>;
 
-  /// Merge the sorted runs in `bufs` and forward downstream, updating
-  /// forwarded_/digest_.  Runs on the coordinator (inline mode) or the
-  /// drain thread (overlap mode) — never both concurrently.
-  void merge_and_forward(const std::vector<const std::vector<Event>*>& bufs);
+  /// Forward the window appended to order_ downstream in canonical order,
+  /// updating forwarded_/digest_.  Runs on the coordinator (inline mode) or
+  /// the drain thread (overlap mode) — never both concurrently.
+  void merge_and_forward();
   void drain_loop();
 
   EventSink* downstream_;
   std::vector<std::unique_ptr<LaneSink>> lanes_;  ///< ascending by key
-  std::vector<const std::vector<Event>*> view_scratch_;  ///< merge inputs
-  std::vector<Cursor> cursor_scratch_;            ///< reused across flushes
-  std::vector<Event> merge_scratch_;              ///< many-lane fallback only
+  WindowOrder<Event, &Event::time, canonical_event_before> order_;
   EventStreamDigest digest_;
   std::uint64_t forwarded_ = 0;
 

@@ -3,6 +3,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -36,6 +37,11 @@ constexpr char kChunkFooter = 'E';
 
 /// Chunk framing around the payload: u8 type, u64 length, u64 checksum.
 constexpr std::uint64_t kChunkFrameBytes = 1 + 8 + 8;
+
+/// A record chunk's payload opens with its u64 record count.  The writer
+/// keeps these bytes at the front of each record buffer and fills them in
+/// at flush, so the buffer is the payload and is written in place.
+constexpr std::size_t kCountSlot = 8;
 
 /// Word-wise FNV-1a variant over the chunk payload — part of the QOSTRC02
 /// format.  Folding 8 bytes per multiply (plus a padded tail word carrying
@@ -105,9 +111,11 @@ ChunkedTraceWriter::ChunkedTraceWriter(std::ostream& out,
     : out_(out),
       records_per_chunk_(records_per_chunk < 1 ? 1 : records_per_chunk) {
   // A span record is ~100 encoded bytes; reserving one full chunk up front
-  // keeps the hot-path appends from ever reallocating (flush_chunk clears
+  // keeps the hot-path appends from ever reallocating (flush_chunk trims
   // but never shrinks, so the capacity persists for the whole run).
-  span_buf_.reserve(records_per_chunk_ * 104);
+  span_buf_.reserve(kCountSlot + records_per_chunk_ * 104);
+  for (std::string* buf : {&span_buf_, &fault_buf_, &slack_buf_})
+    buf->assign(kCountSlot, '\0');
   out_.write(kMagic, kMagicLen);
   std::string payload;
   put_str(payload, meta.label);
@@ -126,11 +134,10 @@ ChunkedTraceWriter::~ChunkedTraceWriter() {
 void ChunkedTraceWriter::flush_chunk(char type, std::string& payload,
                                      std::uint64_t& count) {
   if (count == 0) return;
-  std::string framed;
-  put_u64(framed, count);
-  framed += payload;
-  write_chunk(out_, type, framed);
-  payload.clear();
+  for (std::size_t i = 0; i < kCountSlot; ++i)  // little-endian, as put_u64
+    payload[i] = static_cast<char>(count >> (8 * i));
+  write_chunk(out_, type, payload);
+  payload.resize(kCountSlot);
   count = 0;
 }
 

@@ -93,6 +93,8 @@ class ChunkedTraceWriter final : public SpanSink {
 
   std::ostream& out_;
   std::size_t records_per_chunk_;
+  /// Pending records of each type, after a slot for the chunk's record
+  /// count: each buffer is its chunk's payload.
   std::string span_buf_, fault_buf_, slack_buf_;
   std::uint64_t span_count_ = 0, fault_count_ = 0, slack_count_ = 0;
   StreamTraceFooter footer_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -9,6 +10,7 @@
 #include "runner/thread_pool.h"
 #include "sim/engine.h"
 #include "util/check.h"
+#include "util/window_order.h"
 
 namespace qos::stream {
 namespace {
@@ -22,12 +24,6 @@ struct Lane {
   std::vector<Request> inbox;                 ///< this window's arrivals
   std::vector<CompletionRecord> window_out;   ///< this window's completions
 };
-
-bool merged_before(const CompletionRecord& a, const CompletionRecord& b) {
-  if (a.finish != b.finish) return a.finish < b.finish;
-  if (a.seq != b.seq) return a.seq < b.seq;
-  return a.server < b.server;
-}
 
 /// Work a barrier window carries: feeding stops at the first lookahead edge
 /// after this many arrivals per lane, and the width grows while windows
@@ -115,7 +111,8 @@ ShardedStats simulate_sharded(
   const Time delta = options.lookahead;
   std::optional<Request> peek = requests.next();
   if (peek) validate(*peek);
-  std::vector<CompletionRecord> merged;
+  WindowOrder<CompletionRecord, &CompletionRecord::finish, merged_before>
+      completion_order;
   Time width = 1;  ///< next window's span, in lookahead slices
 
   while (true) {
@@ -164,27 +161,26 @@ ShardedStats simulate_sharded(
     // stream — identical to what a 1-shard run hands the same sink.
     if (event_merge) event_merge->flush();
 
-    // Canonical merge: tenant-ascending concatenation, then a stable sort
-    // on (finish, seq, server).  Every finish in this window precedes every
-    // finish of later windows, so per-window emission is globally sorted.
-    merged.clear();
-    for (auto& lane : lanes) {
-      merged.insert(merged.end(), lane->window_out.begin(),
-                    lane->window_out.end());
-      lane->window_out.clear();
+    // Canonical merge: the order std::stable_sort on (finish, seq, server)
+    // gives the tenant-ascending concatenation (util/window_order.h).  Every
+    // finish in this window precedes every finish of later windows, so
+    // per-window emission is globally sorted.
+    completion_order.clear();
+    for (const auto& lane : lanes) completion_order.append(lane->window_out);
+    const std::span<const CompletionRecord* const> ordered =
+        completion_order.sort();
+    for (const CompletionRecord* record : ordered) {
+      stats.makespan = std::max(stats.makespan, record->finish);
+      out(*record);
     }
-    std::stable_sort(merged.begin(), merged.end(), merged_before);
-    for (const CompletionRecord& record : merged) {
-      stats.makespan = std::max(stats.makespan, record.finish);
-      out(record);
-    }
+    for (auto& lane : lanes) lane->window_out.clear();
     ++stats.windows;
 
     // Size the next window from this one's work.  Every count read here is
     // a function of the input alone, so windows are shard-independent.
     if (limit < full)
       width = std::max<Time>(1, width / 2);
-    else if (fed + merged.size() < kArrivalsPerLane * lanes.size())
+    else if (fed + ordered.size() < kArrivalsPerLane * lanes.size())
       width = std::min(kMaxWidth, width * 2);
   }
 

@@ -33,10 +33,13 @@
 //     reference (SimEngine's resumability contract);
 //   * the thread pool only decides *which worker* runs a lane's window, never
 //     the lane's state evolution, so the shard count is pure parallelism;
-//   * window completions are merged by tenant-ascending concatenation +
-//     stable sort on (finish, seq, server) — a canonical order independent
-//     of both thread scheduling and shard count.  Windows tile virtual time,
-//     so per-window merges concatenate into a globally sorted sequence.
+//   * window completions are put in the order a stable sort on (finish,
+//     seq, server) gives their tenant-ascending concatenation — a canonical
+//     order independent of both thread scheduling and shard count.  It is
+//     computed by a stable radix pass on the finish time plus a stable pass
+//     over each equal-finish group (util/window_order.h), which is exactly
+//     that stable sort's order.  Windows tile virtual time, so per-window
+//     merges concatenate into a globally sorted sequence.
 //
 // Memory: one window of arrivals (the arrival target plus at most one
 // slice) + per-lane in-flight state + one window of completions — bounded
@@ -103,6 +106,14 @@ struct ShardedOptions {
   /// strictly from the coordinator between barriers.
   bool overlap_drain = true;
 };
+
+/// The canonical completion order: finish, then seq, then server.
+inline bool merged_before(const CompletionRecord& a,
+                          const CompletionRecord& b) {
+  if (a.finish != b.finish) return a.finish < b.finish;
+  if (a.seq != b.seq) return a.seq < b.seq;
+  return a.server < b.server;
+}
 
 struct ShardedStats {
   std::uint64_t requests = 0;

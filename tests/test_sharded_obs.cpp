@@ -3,8 +3,8 @@
 // be bit-identical across shard counts, lookaheads and drain modes — a
 // sharded run is indistinguishable from the 1-shard reference to every
 // consumer.  Plus unit coverage for ShardedEventSink itself: the lane
-// insertion invariant, the cursor merge and its many-lane fallback, the
-// stream digest, and the overlap-drain handoff.
+// insertion invariant, the window order at several lane counts, the stream
+// digest, and the overlap-drain handoff.
 #include "obs/sharded_sink.h"
 
 #include <gtest/gtest.h>
@@ -318,20 +318,20 @@ TEST(ShardedSink, LaneInsertionKeepsCanonicalOrder) {
 }
 
 TEST(ShardedSink, CursorMergeMatchesReferenceSort) {
+  // A few lanes: the flush's window order must equal a stable sort of the
+  // lane buffers' concatenation.
   RecordingSink downstream;
   ShardedEventSink sink(&downstream);
   std::vector<Event> all;
   // Four lanes with interleaved, gapped timelines; seqs globally unique.
   for (std::uint32_t lane_key = 0; lane_key < 4; ++lane_key) {
-    EventSink* lane = sink.lane(lane_key);
     for (std::uint64_t i = 0; i < 50; ++i) {
-      const Event e = make_event(
+      all.push_back(make_event(
           static_cast<Time>((i * 7 + lane_key * 3) % 90), i * 4 + lane_key,
-          static_cast<std::uint8_t>(lane_key));
-      // Respect the lane-clock contract: feed each lane time-sorted.
-      all.push_back(e);
+          static_cast<std::uint8_t>(lane_key)));
     }
   }
+  // Respect the lane-clock contract: feed each lane time-sorted.
   std::stable_sort(all.begin(), all.end(), canonical_event_before);
   for (const Event& e : all)
     sink.lane(e.server)->on_event(e);  // lane key == server here
@@ -341,17 +341,16 @@ TEST(ShardedSink, CursorMergeMatchesReferenceSort) {
 }
 
 TEST(ShardedSink, ManyLaneFallbackMatchesCursorMerge) {
-  // 12 active lanes exceeds kMaxLinearMergeLanes: the concat + stable-sort
-  // fallback must produce the same canonical stream the cursor merge would.
+  // 12 active lanes: the window order has no lane-count special case, and
+  // must give the same canonical stream as with a few lanes.
   RecordingSink downstream;
   ShardedEventSink sink(&downstream);
   std::vector<Event> all;
   for (std::uint32_t lane_key = 0; lane_key < 12; ++lane_key) {
     for (std::uint64_t i = 0; i < 20; ++i) {
-      Event e = make_event(static_cast<Time>((i * 11 + lane_key) % 60),
-                           i * 16 + lane_key,
-                           static_cast<std::uint8_t>(lane_key));
-      all.push_back(e);
+      all.push_back(make_event(static_cast<Time>((i * 11 + lane_key) % 60),
+                               i * 16 + lane_key,
+                               static_cast<std::uint8_t>(lane_key)));
     }
   }
   std::vector<Event> expected = reference_merge(all);
@@ -362,6 +361,30 @@ TEST(ShardedSink, ManyLaneFallbackMatchesCursorMerge) {
     for (const Event& e : per_lane[k]) sink.lane(k)->on_event(e);
   sink.flush();
   expect_same_events(downstream.events(), expected);
+}
+
+TEST(ShardedSink, FlushMatchesReferenceMergeAtAnyLaneCount) {
+  // The lane-count extremes the two tests above leave out: a single lane,
+  // and many lanes whose timelines collide at shared instants (seqs
+  // globally unique).  Each lane is fed its events in canonical order, per
+  // the lane-clock contract.
+  for (const std::uint32_t lanes : {1u, 64u}) {
+    SCOPED_TRACE(lanes);
+    RecordingSink downstream;
+    ShardedEventSink sink(&downstream);
+    std::vector<Event> all;
+    for (std::uint32_t lane_key = 0; lane_key < lanes; ++lane_key)
+      for (std::uint64_t i = 0; i < 30; ++i)
+        all.push_back(
+            make_event(static_cast<Time>((i * 11 + lane_key * 3) % 70),
+                       i * lanes + lane_key, static_cast<std::uint8_t>(i % 2)));
+    const std::vector<Event> expected = reference_merge(all);
+    for (const Event& e : expected)
+      sink.lane(static_cast<std::uint32_t>(e.seq % lanes))->on_event(e);
+    sink.flush();
+    expect_same_events(downstream.events(), expected);
+    EXPECT_EQ(sink.forwarded(), all.size());
+  }
 }
 
 TEST(ShardedSink, NullDownstreamStillCountsAndDigests) {

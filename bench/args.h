@@ -1,15 +1,10 @@
-// Command-line number parsing shared by the bench harnesses.
-//
-// A flag's value is taken whole or not at all: "-5" for an unsigned count,
-// "1e6" for an integer, "4x" or "10ms" anywhere is a usage error, never a
-// silently different run.
+// Command-line number parsing shared by the bench harnesses: the
+// util/parse_number.h rule, with a usage error for anything it rejects.
 #pragma once
 
-#include <charconv>
-#include <cmath>
-#include <cstring>
-#include <system_error>
-#include <type_traits>
+#include <optional>
+
+#include "util/parse_number.h"
 
 namespace qos::bench {
 
@@ -17,13 +12,9 @@ namespace qos::bench {
 /// point type).  Anything else calls `usage`, which must not return.
 template <typename T>
 T parse_number(const char* text, T min, void (*usage)()) {
-  const char* end = text + std::strlen(text);
-  T value{};
-  const auto [ptr, ec] = std::from_chars(text, end, value);
-  bool ok = ec == std::errc() && ptr == end && value >= min;
-  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
-  if (!ok) usage();
-  return value;
+  const std::optional<T> value = parse_whole_number(text, min);
+  if (!value) usage();
+  return *value;
 }
 
 }  // namespace qos::bench

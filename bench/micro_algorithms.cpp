@@ -6,27 +6,20 @@
 //
 //   * For each FQ backend (SFQ / WFQ / WF2Q+ / pClock) at 1, 16 and 256
 //     flows, steady-state enqueue+dequeue pairs per second through the
-//     production heap implementation and through the O(flows) linear-scan
-//     reference (fq/scan_reference.h) it replaced, plus the speedup ratio.
-//   * Sparse-activation cells at 4096, 65536 and 1048576 configured flows:
-//     4096 concurrently backlogged flows marching across the id space on a
-//     multiplicative stride, so flows constantly drain idle and reactivate.
-//     The production flat-table backends run against the frozen dense-
-//     vector layout (fq/dense_reference.h) they replaced — the scan
-//     reference is O(flows) per op and unusable at this scale — with
-//     footprints reported alongside (`ref: "dense"` cells).
+//     production heap implementation (per-flow vectors indexed by flow id,
+//     head tags in IndexedMinHeaps keyed by flow id) and through the
+//     O(flows) linear-scan reference (fq/scan_reference.h) it replaced,
+//     plus the speedup ratio.
 //   * Simulator events per second (one arrival + one completion = two
 //     events) for single-server FCFS and two-server Split runs.
 //
 // The run aborts if the lazy-allocation contract breaks: an idle
-// IndexedMinHeap reset to 10^6 ids must hold zero bytes, and at the
-// million-flow cell every flat backend must undercut its dense
-// counterpart's footprint.
+// IndexedMinHeap reset to 2^20 ids must hold zero bytes.
 //
 // Each measurement repeats --repeats times and keeps the best run (least
 // interference).  scripts/check_perf.py compares a fresh BENCH_micro.json
 // against the committed bench/BENCH_micro.baseline.json and fails on >25%
-// throughput regressions; see README "Perf baseline".
+// speedup regressions; see README "Perf baseline".
 //
 // usage: micro_algorithms [--json PATH] [--ops N] [--repeats R]
 #include <algorithm>
@@ -38,9 +31,9 @@
 #include <string>
 #include <vector>
 
+#include "args.h"
 #include "core/fcfs.h"
 #include "core/split.h"
-#include "fq/dense_reference.h"
 #include "fq/pclock.h"
 #include "fq/scan_reference.h"
 #include "fq/sfq.h"
@@ -88,14 +81,13 @@ MicroOptions parse_args(int argc, char** argv) {
     if (std::strcmp(a, "--json") == 0) {
       o.json_path = value();
     } else if (std::strcmp(a, "--ops") == 0) {
-      o.ops = std::strtoull(value(), nullptr, 10);
+      o.ops = bench::parse_number<std::uint64_t>(value(), 1, usage_abort);
     } else if (std::strcmp(a, "--repeats") == 0) {
-      o.repeats = std::atoi(value());
+      o.repeats = bench::parse_number(value(), 1, usage_abort);
     } else {
       usage_abort();
     }
   }
-  if (o.ops == 0 || o.repeats <= 0) usage_abort();
   return o;
 }
 
@@ -152,79 +144,6 @@ struct FqRow {
 
 constexpr int kFlowCounts[3] = {1, 16, 256};
 
-// ---------------------------------------------------------------------------
-// Sparse activation at scale: kBacklogged flows live at once, each op
-// retires one flow to idle and activates another, cycling the whole id
-// space (odd stride, power-of-two cell counts => full period).  This is the
-// million-user regime from ROADMAP item 1: per-flow state must cost
-// O(flows seen), and the head-tag structures O(backlogged).
-
-constexpr int kSparseCells[3] = {4'096, 65'536, 1'048'576};
-constexpr std::uint64_t kBacklogged = 4'096;
-constexpr std::uint64_t kSparseStride = 2'654'435'761u;
-
-struct SparseCell {
-  double prod_ops_per_sec = 0;
-  double ref_ops_per_sec = 0;
-  std::size_t prod_mem_bytes = 0;
-  std::size_t ref_mem_bytes = 0;
-  double speedup() const { return prod_ops_per_sec / ref_ops_per_sec; }
-};
-
-struct SparseRow {
-  const char* name;
-  SparseCell cells[3];  ///< at kSparseCells
-};
-
-// One enqueue + one dequeue per op with a steady backlog of kBacklogged
-// flows scattered over `cells` ids.  Returns pairs/sec; *mem_bytes gets the
-// scheduler's post-run footprint.
-template <typename Sched>
-double fq_sparse_pairs_per_sec(Sched& s, int cells, std::uint64_t ops,
-                               std::size_t* mem_bytes) {
-  auto flow_at = [cells](std::uint64_t i) {
-    return static_cast<int>((i * kSparseStride) %
-                            static_cast<std::uint64_t>(cells));
-  };
-  std::uint64_t handle = 0;
-  Time now = 0;
-  // Spread the warmup arrivals in time like the measured loop does:
-  // enqueueing the whole backlog at now=0 would give every pClock item an
-  // identical deadline, an initial state no arrival process produces.
-  for (std::uint64_t i = 0; i < kBacklogged; ++i) {
-    now += 3;
-    s.enqueue(flow_at(i), handle++, 1.0, now);
-  }
-  std::uint64_t sink = 0;
-  const double t0 = now_seconds();
-  for (std::uint64_t i = 0; i < ops; ++i) {
-    now += 3;
-    s.enqueue(flow_at(kBacklogged + i), handle++, 1.0, now);
-    sink += s.dequeue(now)->handle;
-  }
-  const double elapsed = now_seconds() - t0;
-  *mem_bytes = s.approx_memory_bytes();
-  while (s.dequeue(now)) {
-  }
-  g_sink = g_sink ^ sink;
-  return static_cast<double>(ops) / elapsed;
-}
-
-template <typename MakeSched>
-double best_sparse_rate(MakeSched make, int cells, const MicroOptions& o,
-                        std::size_t* mem_bytes) {
-  // The million-cell dense reference pays tens of MB of (untimed)
-  // construction per repeat; halve the repeats there to keep CI fast.
-  const int repeats = cells >= 1'000'000 ? std::max(1, o.repeats / 2)
-                                         : o.repeats;
-  double best = 0;
-  for (int r = 0; r < repeats; ++r) {
-    auto s = make(cells);
-    best = std::max(best, fq_sparse_pairs_per_sec(s, cells, o.ops, mem_bytes));
-  }
-  return best;
-}
-
 const Trace& sim_trace() {
   static const Trace trace = [] {
     WorkloadSpec spec;
@@ -261,41 +180,20 @@ void json_fq_cell(std::FILE* f, int flows, const FqCell& c, bool last) {
                last ? "" : ",");
 }
 
-void json_sparse_cell(std::FILE* f, int flows, const SparseCell& c,
-                      bool last) {
-  std::fprintf(f,
-               "    \"flows_%d\": {\"prod_ops_per_sec\": %.0f, "
-               "\"ref_ops_per_sec\": %.0f, \"ref\": \"dense\", "
-               "\"prod_mem_bytes\": %zu, \"ref_mem_bytes\": %zu, "
-               "\"speedup\": %.2f}%s\n",
-               flows, c.prod_ops_per_sec, c.ref_ops_per_sec, c.prod_mem_bytes,
-               c.ref_mem_bytes, c.speedup(), last ? "" : ",");
-}
+// Hard contract checked in-process: a lazily grown position table is what
+// keeps an idle heap free whatever its id bound, and throughput gating
+// would not see it break.
+constexpr int kLazyProbeIds = 1 << 20;
 
-// Hard contracts checked in-process: a violated footprint bound means the
-// flat/lazy layouts regressed in a way throughput gating could miss.
-bool check_memory_contracts(const SparseRow (&rows)[4]) {
+bool check_lazy_heap() {
   IndexedMinHeap<double> probe;
-  probe.reset(kSparseCells[2]);
-  if (probe.memory_bytes() != 0) {
-    std::fprintf(stderr,
-                 "micro_algorithms: lazy-heap contract broken — "
-                 "reset(%d) allocated %zu bytes (expected 0)\n",
-                 kSparseCells[2], probe.memory_bytes());
-    return false;
-  }
-  for (const SparseRow& row : rows) {
-    const SparseCell& c = row.cells[2];  // the million-flow cell
-    if (c.prod_mem_bytes >= c.ref_mem_bytes) {
-      std::fprintf(stderr,
-                   "micro_algorithms: %s flat footprint %zu B >= dense "
-                   "footprint %zu B at %d flows\n",
-                   row.name, c.prod_mem_bytes, c.ref_mem_bytes,
-                   kSparseCells[2]);
-      return false;
-    }
-  }
-  return true;
+  probe.reset(kLazyProbeIds);
+  if (probe.memory_bytes() == 0) return true;
+  std::fprintf(stderr,
+               "micro_algorithms: lazy-heap contract broken — "
+               "reset(%d) allocated %zu bytes (expected 0)\n",
+               kLazyProbeIds, probe.memory_bytes());
+  return false;
 }
 
 }  // namespace
@@ -330,47 +228,6 @@ int main(int argc, char** argv) {
         flows, options);
   }
 
-  SparseRow sparse[4] = {
-      {"sfq", {}}, {"wfq", {}}, {"wf2q", {}}, {"pclock", {}}};
-  for (int ci = 0; ci < 3; ++ci) {
-    const int cells = kSparseCells[ci];
-    sparse[0].cells[ci].prod_ops_per_sec = best_sparse_rate(
-        [](int n) { return SfqScheduler::uniform(n, 1.0); }, cells, options,
-        &sparse[0].cells[ci].prod_mem_bytes);
-    sparse[0].cells[ci].ref_ops_per_sec = best_sparse_rate(
-        [](int n) {
-          return denseref::DenseSfqScheduler(
-              std::vector<double>(static_cast<std::size_t>(n), 1.0));
-        },
-        cells, options, &sparse[0].cells[ci].ref_mem_bytes);
-    sparse[1].cells[ci].prod_ops_per_sec = best_sparse_rate(
-        [](int n) { return WfqScheduler::uniform(n, 1.0); }, cells, options,
-        &sparse[1].cells[ci].prod_mem_bytes);
-    sparse[1].cells[ci].ref_ops_per_sec = best_sparse_rate(
-        [](int n) {
-          return denseref::DenseWfqScheduler(
-              std::vector<double>(static_cast<std::size_t>(n), 1.0));
-        },
-        cells, options, &sparse[1].cells[ci].ref_mem_bytes);
-    sparse[2].cells[ci].prod_ops_per_sec = best_sparse_rate(
-        [](int n) { return Wf2qPlusScheduler::uniform(n, 1.0); }, cells,
-        options, &sparse[2].cells[ci].prod_mem_bytes);
-    sparse[2].cells[ci].ref_ops_per_sec = best_sparse_rate(
-        [](int n) {
-          return denseref::DenseWf2qPlusScheduler(
-              std::vector<double>(static_cast<std::size_t>(n), 1.0));
-        },
-        cells, options, &sparse[2].cells[ci].ref_mem_bytes);
-    // kAuto picks the timer wheel at every sparse cell count (all >= the
-    // 4096 threshold) — the shipped selection, not a pinned override.
-    sparse[3].cells[ci].prod_ops_per_sec = best_sparse_rate(
-        [](int n) { return PClockScheduler::uniform(n, PClockSla{}); }, cells,
-        options, &sparse[3].cells[ci].prod_mem_bytes);
-    sparse[3].cells[ci].ref_ops_per_sec = best_sparse_rate(
-        [](int n) { return denseref::DensePClockScheduler(uniform_slas(n)); },
-        cells, options, &sparse[3].cells[ci].ref_mem_bytes);
-  }
-
   const double fcfs_events = best_sim_events_per_sec(options, [] {
     FcfsScheduler fcfs;
     ConstantRateServer server(600);
@@ -394,22 +251,10 @@ int main(int argc, char** argv) {
                   c.heap_ops_per_sec, c.scan_ops_per_sec, c.speedup());
     }
   }
-  std::printf("\n%-8s %8s %14s %14s %8s %10s %10s\n", "backend", "flows",
-              "flat ops/s", "dense ops/s", "speedup", "flat MB", "dense MB");
-  for (const SparseRow& row : sparse) {
-    for (int ci = 0; ci < 3; ++ci) {
-      const SparseCell& c = row.cells[ci];
-      std::printf("%-8s %8d %14.0f %14.0f %7.2fx %10.1f %10.1f\n", row.name,
-                  kSparseCells[ci], c.prod_ops_per_sec, c.ref_ops_per_sec,
-                  c.speedup(),
-                  static_cast<double>(c.prod_mem_bytes) / (1024.0 * 1024.0),
-                  static_cast<double>(c.ref_mem_bytes) / (1024.0 * 1024.0));
-    }
-  }
   std::printf("simulator fcfs  %14.0f events/s\n", fcfs_events);
   std::printf("simulator split %14.0f events/s\n", split_events);
 
-  if (!check_memory_contracts(sparse)) return 1;
+  if (!check_lazy_heap()) return 1;
 
   std::FILE* f = std::fopen(options.json_path.c_str(), "w");
   if (f == nullptr) {
@@ -426,9 +271,7 @@ int main(int argc, char** argv) {
   for (std::size_t r = 0; r < 4; ++r) {
     std::fprintf(f, "  \"%s\": {\n", rows[r].name);
     for (int fi = 0; fi < 3; ++fi)
-      json_fq_cell(f, kFlowCounts[fi], rows[r].cells[fi], false);
-    for (int ci = 0; ci < 3; ++ci)
-      json_sparse_cell(f, kSparseCells[ci], sparse[r].cells[ci], ci == 2);
+      json_fq_cell(f, kFlowCounts[fi], rows[r].cells[fi], fi == 2);
     std::fprintf(f, "  }%s\n", r == 3 ? "" : ",");
   }
   std::fprintf(f, "  },\n");

@@ -19,18 +19,9 @@ Cells whose baseline speedup is below 1.0 (the single-flow cells, where a
 heap cannot beat a one-element scan and the ratio is run-to-run noise) are
 printed as informational and not gated; every backend is still gated at 16
 and 256 flows.  Absolute ops/sec are printed for the log but never gated.
-
-The sparse-activation cells (flows_4096 and up) divide the flat-table
-backend's ops/sec by the frozen dense-vector layout's
-(fq/dense_reference.h, the cells with "ref": "dense") — same
-machine-cancelling ratio, different reference, because the linear scan is
-O(flows) per op and unmeasurable at this scale.  At flows_1048576 the
-ratio must additionally stay >= --min-flat-speedup (default 1.0): the
-flat layout beating dense at a million flows is the overhaul's acceptance
-criterion, regardless of the baseline.  A cell present in the current
-measurement but absent from the baseline fails with an explicit
-"regenerate the baseline" message rather than being silently skipped (or
-dying with a KeyError on the schema difference).
+A cell present in the current measurement but absent from the baseline
+fails with an explicit "regenerate the baseline" message rather than being
+silently skipped (or dying with a KeyError on the schema difference).
 
 --online (BENCH_online.json, bench/online_loadgen): the gated quantity is
 each (policy, mode) cell's *normalized* throughput — decisions per second
@@ -105,7 +96,6 @@ import json
 import sys
 
 FLOOR_KEY = "flows_256"
-FLAT_FLOOR_KEY = "flows_1048576"
 
 # The command that regenerates each mode's committed baseline, from a
 # Release tree (cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release).
@@ -314,9 +304,6 @@ def main() -> int:
                              "metric drift for --chaos (default 0.02)")
     parser.add_argument("--min-speedup", type=float, default=3.0,
                         help="micro: hard speedup floor at 256 flows")
-    parser.add_argument("--min-flat-speedup", type=float, default=1.0,
-                        help="micro: hard flat-vs-dense speedup floor at the "
-                             "million-flow sparse-activation cell")
     parser.add_argument("--min-normalized", type=float, default=0.02,
                         help="online: hard normalized-throughput floor")
     parser.add_argument("--max-overhead", type=float, default=0.20,
@@ -369,7 +356,7 @@ def main() -> int:
 
     failures = []
     print(f"{'backend':<8} {'flows':>13} {'base':>8} {'now':>8} "
-          f"{'prod ops/s':>14}  status")
+          f"{'heap ops/s':>14}  status")
     for backend, base_cells in baseline["schedulers"].items():
         cur_cells = current["schedulers"].get(backend)
         if cur_cells is None:
@@ -391,10 +378,7 @@ def main() -> int:
                 continue
             base_speedup = base["speedup"]
             cur_speedup = cur["speedup"]
-            # Dense-vector reference cells report prod_ops_per_sec; the
-            # scan-reference cells predate that name.
-            cur_ops = cur.get("heap_ops_per_sec",
-                              cur.get("prod_ops_per_sec", 0.0))
+            cur_ops = cur["heap_ops_per_sec"]
             allowed = (1.0 - args.tolerance) * base_speedup
             gated = base_speedup >= 1.0
             problems = []
@@ -407,12 +391,7 @@ def main() -> int:
                 problems.append(
                     f"speedup {cur_speedup:.2f} below the "
                     f"{args.min_speedup:.1f}x floor at 256 flows")
-            if cell == FLAT_FLOOR_KEY and cur_speedup < args.min_flat_speedup:
-                problems.append(
-                    f"flat/dense speedup {cur_speedup:.2f} below the "
-                    f"{args.min_flat_speedup:.1f}x floor at 1M flows — the "
-                    f"flat flow table no longer beats the dense layout")
-            floor_gated = gated or cell in (FLOOR_KEY, FLAT_FLOOR_KEY)
+            floor_gated = gated or cell == FLOOR_KEY
             status = ("FAIL" if problems else
                       "ok" if floor_gated else "info")
             print(f"{backend:<8} {cell:>13} {base_speedup:>7.2f}x "

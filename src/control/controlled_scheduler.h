@@ -50,7 +50,6 @@ struct ControlledSchedulerConfig {
   /// Scale every tenant's bound by monitored health (the local-only
   /// DegradedRtt baseline).  Off: bounds follow allocations alone.
   bool local_degradation = false;
-  double health_tolerance = 0.02;  ///< deadband before scaling kicks in
   CapacityMonitorConfig monitor;
 };
 
@@ -206,10 +205,13 @@ class ControlledTenantScheduler final : public Scheduler {
     RingBuffer<Request> q2;
   };
 
+  /// Health deadband: bounds scale only once health drops below 1 - this.
+  static constexpr double kHealthTolerance = 0.02;
+
   std::int64_t effective_bound(double alloc_iops) const {
     const double h = monitor_.health();
     const double effective =
-        h >= 1.0 - config_.health_tolerance ? alloc_iops : h * alloc_iops;
+        h >= 1.0 - kHealthTolerance ? alloc_iops : h * alloc_iops;
     return max_q1_slots(effective, delta_);
   }
 

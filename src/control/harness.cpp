@@ -27,7 +27,6 @@ ControlOutcome run_control_plane(std::span<const Trace> tenants,
   QOS_EXPECTS(config.fraction > 0 && config.fraction <= 1);
   QOS_EXPECTS(config.delta > 0);
   QOS_EXPECTS(config.profile_window > 0);
-  QOS_EXPECTS(config.capacity_scale > 0);
   QOS_EXPECTS(config.faults.validate());
   const std::size_t n = tenants.size();
 
@@ -59,8 +58,7 @@ ControlOutcome run_control_plane(std::span<const Trace> tenants,
     allocations[i] = std::max(specs[i].cmin_iops, 1.0);
     planned_total += allocations[i];
   }
-  out.total_iops = (planned_total + overflow_headroom_iops(config.delta)) *
-                   config.capacity_scale;
+  out.total_iops = planned_total + overflow_headroom_iops(config.delta);
 
   // --- Build the pipeline ---------------------------------------------
   ControlledSchedulerConfig sched_config = config.scheduler;

@@ -54,7 +54,6 @@ struct ControlPlaneConfig {
   ControlMode mode = ControlMode::kStatic;
   FaultySchedule faults;        ///< empty = fault-free
   Time profile_window = 5 * kUsPerSec;  ///< static-plan prefix per tenant
-  double capacity_scale = 1.0;  ///< scales the planned total (stress knob)
 
   ControllerConfig controller;  ///< epoch/guardrails (kController only);
                                 ///< fraction/delta are overridden from above

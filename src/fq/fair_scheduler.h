@@ -12,6 +12,11 @@
 // Items are opaque handles with a service cost; the schedulers only decide
 // order.  All are O(log n_flows) per operation and fully deterministic
 // (ties break on flow index).
+//
+// The recombination runs them at two flows (Q1 and Q2, weighted
+// Cmin : ΔC), or two per tenant under MultiTenantScheduler, so every
+// backend keeps its per-flow state in a vector sized to flow_count() and
+// indexed by flow id, with head tags in IndexedMinHeaps keyed by flow id.
 #pragma once
 
 #include <cstdint>

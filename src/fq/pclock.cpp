@@ -1,106 +1,27 @@
 #include "fq/pclock.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace qos {
-namespace {
 
-bool pick_wheel(int flow_count, PClockHeadTags head_tags) {
-  switch (head_tags) {
-    case PClockHeadTags::kHeap:
-      return false;
-    case PClockHeadTags::kWheel:
-      return true;
-    case PClockHeadTags::kAuto:
-      return flow_count >= PClockScheduler::kWheelAutoThreshold;
-  }
-  return false;
-}
-
-void validate(const PClockSla& sla) {
-  QOS_EXPECTS(sla.sigma >= 0);
-  QOS_EXPECTS(sla.rho > 0);
-  QOS_EXPECTS(sla.delta >= 0);
-}
-
-}  // namespace
-
-PClockScheduler::PClockScheduler(std::vector<PClockSla> slas,
-                                 PClockHeadTags head_tags) {
+PClockScheduler::PClockScheduler(std::vector<PClockSla> slas) {
   QOS_EXPECTS(!slas.empty());
-  for (const PClockSla& sla : slas) validate(sla);
-  flow_count_ = static_cast<int>(slas.size());
-  dense_slas_ = std::move(slas);
-  use_wheel_ = pick_wheel(flow_count_, head_tags);
-  head_deadline_.reset(flow_count_);
-}
-
-PClockScheduler PClockScheduler::uniform(int flow_count, PClockSla sla,
-                                         PClockHeadTags head_tags) {
-  QOS_EXPECTS(flow_count > 0);
-  validate(sla);
-  PClockScheduler s;
-  s.flow_count_ = flow_count;
-  s.uniform_sla_ = sla;
-  s.use_wheel_ = pick_wheel(flow_count, head_tags);
-  s.head_deadline_.reset(flow_count);
-  return s;
-}
-
-std::uint32_t PClockScheduler::activate(int flow) {
-  const std::uint32_t slot = index_.find_or_insert(flow);
-  if (slot == state_.size()) {
-    state_.emplace_back();
-    FlowState& f = state_.back();
-    f.sla = sla_of(flow);
-    f.tokens = f.sla.sigma;
+  flows_.resize(slas.size());
+  for (std::size_t i = 0; i < slas.size(); ++i) {
+    QOS_EXPECTS(slas[i].sigma >= 0);
+    QOS_EXPECTS(slas[i].rho > 0);
+    QOS_EXPECTS(slas[i].delta >= 0);
+    flows_[i].sla = slas[i];
+    flows_[i].tokens = slas[i].sigma;
   }
-  return slot;
-}
-
-bool PClockScheduler::head_empty() const {
-  return use_wheel_ ? wheel_.empty() : head_deadline_.empty();
-}
-
-void PClockScheduler::head_push(std::uint32_t slot, Time deadline, int flow) {
-  if (use_wheel_)
-    wheel_.push(slot, static_cast<std::uint64_t>(deadline), flow);
-  else
-    head_deadline_.push(static_cast<int>(slot), TagKey{deadline, flow});
-}
-
-void PClockScheduler::head_update(std::uint32_t slot, Time deadline) {
-  if (use_wheel_) {
-    wheel_.update(slot, static_cast<std::uint64_t>(deadline));
-  } else {
-    const int flow = head_deadline_.key_of(static_cast<int>(slot)).second;
-    head_deadline_.update(static_cast<int>(slot), TagKey{deadline, flow});
-  }
-}
-
-std::uint32_t PClockScheduler::head_top_slot() {
-  return use_wheel_ ? wheel_.top()
-                    : static_cast<std::uint32_t>(head_deadline_.top());
-}
-
-int PClockScheduler::head_top_flow() {
-  return use_wheel_ ? wheel_.top_tie() : head_deadline_.top_key().second;
-}
-
-void PClockScheduler::head_pop() {
-  if (use_wheel_)
-    wheel_.pop();
-  else
-    head_deadline_.pop();
+  head_deadline_.reset(flow_count());
 }
 
 void PClockScheduler::enqueue(int flow, std::uint64_t handle, double cost,
                               Time now) {
-  QOS_EXPECTS(flow >= 0 && flow < flow_count_);
+  QOS_EXPECTS(flow >= 0 && flow < flow_count());
   QOS_EXPECTS(cost > 0);
-  const std::uint32_t slot = activate(flow);
-  FlowState& f = state_[slot];
+  Flow& f = flows_[static_cast<std::size_t>(flow)];
 
   // Earn tokens since the last update, capped at the burst allowance.
   f.tokens = std::min(
@@ -126,46 +47,27 @@ void PClockScheduler::enqueue(int flow, std::uint64_t handle, double cost,
     item.deadline = std::max(item.deadline, f.queue.back().deadline);
   const bool was_empty = f.queue.empty();
   f.queue.push_back(item);
-  if (use_wheel_) {
-    // The wheel keys on unsigned ticks; pClock deadlines are >= now, so a
-    // non-negative clock keeps the uint64 embedding order-preserving.
-    QOS_EXPECTS(now >= 0);
-    QOS_CHECK(item.deadline >= 0);
-    // Deadlines are never earlier than the clock, so `now` is a floor for
-    // all future keys — lets wheel renormalizations stay cache-friendly.
-    wheel_.advance_floor(static_cast<std::uint64_t>(now));
-  }
-  if (was_empty) head_push(slot, item.deadline, flow);
+  if (was_empty) head_deadline_.push(flow, item.deadline);
 }
 
 std::optional<FqDispatch> PClockScheduler::dequeue(Time) {
-  if (head_empty()) return std::nullopt;
-  const std::uint32_t slot = head_top_slot();
-  const int flow = head_top_flow();
-  FlowState& f = state_[slot];
+  if (head_deadline_.empty()) return std::nullopt;
+  const int flow = head_deadline_.top();
+  Flow& f = flows_[static_cast<std::size_t>(flow)];
   const Item item = f.queue.front();
   f.queue.pop_front();
   if (f.queue.empty())
-    head_pop();
+    head_deadline_.pop();
   else
-    head_update(slot, f.queue.front().deadline);
+    head_deadline_.update(flow, f.queue.front().deadline);
   return FqDispatch{flow, item.handle};
 }
 
-bool PClockScheduler::empty() const { return head_empty(); }
+bool PClockScheduler::empty() const { return head_deadline_.empty(); }
 
 std::size_t PClockScheduler::backlog(int flow) const {
-  QOS_EXPECTS(flow >= 0 && flow < flow_count_);
-  const std::uint32_t slot = index_.find(flow);
-  return slot == FlatSlotMap::kNoSlot ? 0 : state_[slot].queue.size();
-}
-
-std::size_t PClockScheduler::approx_memory_bytes() const {
-  std::size_t queues = 0;
-  for (const FlowState& f : state_) queues += f.queue.capacity() * sizeof(Item);
-  return index_.memory_bytes() + state_.capacity() * sizeof(FlowState) +
-         queues + head_deadline_.memory_bytes() + wheel_.memory_bytes() +
-         dense_slas_.capacity() * sizeof(PClockSla);
+  QOS_EXPECTS(flow >= 0 && flow < flow_count());
+  return flows_[static_cast<std::size_t>(flow)].queue.size();
 }
 
 }  // namespace qos

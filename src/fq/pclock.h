@@ -14,27 +14,19 @@
 // non-decreasing (FIFO within a flow), so earliest-deadline-first reduces to
 // a priority structure over (head deadline, flow id).
 //
-// Million-flow layout: flow ids map through a FlatSlotMap to dense slots
-// assigned on first touch; per-flow state is slot-indexed.  The EDF head
-// structure is selectable: an indexed min-heap under the pair key (head
-// deadline, flow id), or a hierarchical timer wheel (util/timer_wheel.h)
-// that buckets integer-microsecond deadlines and walks the head bucket for
-// the exact (deadline, lowest flow id) minimum.  Both produce the identical
-// dispatch stream — the wheel is an O(1)-amortized drop-in that wins at
-// large backlogged-flow counts, so kAuto picks it when the configured flow
-// space reaches kWheelAutoThreshold and keeps the heap below (bench:
-// bench/micro_algorithms.cpp; equivalence: tests/test_fq_differential.cpp).
+// Layout: per-flow state (SLA, token bucket, pooled FIFO) lives in a vector
+// sized to flow_count() and indexed by flow id.  Backlogged flows sit in an
+// IndexedMinHeap keyed by flow id on their head deadline, whose (key, lowest
+// id) order is the scan reference's EDF order exactly
+// (tests/test_fq_differential.cpp).
 #pragma once
 
-#include <utility>
 #include <vector>
 
 #include "fq/fair_scheduler.h"
 #include "util/check.h"
-#include "util/flat_table.h"
 #include "util/indexed_heap.h"
 #include "util/ring_buffer.h"
-#include "util/timer_wheel.h"
 
 namespace qos {
 
@@ -44,81 +36,30 @@ struct PClockSla {
   Time delta = 10'000;  ///< latency bound for conforming requests (us)
 };
 
-/// EDF head-structure choice for PClockScheduler.  kAuto selects the timer
-/// wheel once the flow space reaches kWheelAutoThreshold; the explicit
-/// values pin the choice (tests run both and diff the dispatch streams).
-enum class PClockHeadTags { kAuto, kHeap, kWheel };
-
 class PClockScheduler final : public FairScheduler {
  public:
-  explicit PClockScheduler(std::vector<PClockSla> slas,
-                           PClockHeadTags head_tags = PClockHeadTags::kAuto);
+  explicit PClockScheduler(std::vector<PClockSla> slas);
 
-  /// Million-flow form: `flow_count` flows sharing one SLA, stored O(1) —
-  /// no dense per-flow vector is ever materialized.
-  static PClockScheduler uniform(
-      int flow_count, PClockSla sla,
-      PClockHeadTags head_tags = PClockHeadTags::kAuto);
-
-  /// Flow count at which kAuto switches from heap to timer wheel.  Below
-  /// this the heap's tiny footprint wins; above it the wheel's O(1) pushes
-  /// and cache-local bucket walks do (see bench/micro_algorithms.cpp).
-  static constexpr int kWheelAutoThreshold = 4096;
-
-  int flow_count() const override { return flow_count_; }
+  int flow_count() const override { return static_cast<int>(flows_.size()); }
   void enqueue(int flow, std::uint64_t handle, double cost, Time now) override;
   std::optional<FqDispatch> dequeue(Time now) override;
   bool empty() const override;
   std::size_t backlog(int flow) const override;
-
-  bool uses_timer_wheel() const { return use_wheel_; }
-
-  /// Bytes held by the scheduler's own structures: O(flows seen).
-  std::size_t approx_memory_bytes() const;
 
  private:
   struct Item {
     std::uint64_t handle = 0;
     Time deadline = 0;
   };
-  struct FlowState {
+  struct Flow {
     PClockSla sla;
     double tokens = 0;      ///< current bucket level (<= sigma)
     Time last_update = 0;
     RingBuffer<Item> queue;
   };
-  /// Heap key: (head deadline, flow id) — lexicographic pair order is the
-  /// scan-equivalent EDF total order even though the heap is slot-keyed.
-  using TagKey = std::pair<Time, int>;
 
-  const PClockSla& sla_of(int flow) const {
-    return dense_slas_.empty() ? uniform_sla_
-                               : dense_slas_[static_cast<std::size_t>(flow)];
-  }
-
-  /// Slot for `flow`, materializing per-flow state on first touch.
-  std::uint32_t activate(int flow);
-
-  PClockScheduler() = default;  ///< used by the uniform() factory
-
-  // EDF head structure, dispatching to the heap or the wheel.  Both order
-  // by exact (deadline, flow id), so the choice is performance-only.
-  bool head_empty() const;
-  void head_push(std::uint32_t slot, Time deadline, int flow);
-  void head_update(std::uint32_t slot, Time deadline);
-  // Non-const: the wheel's find-min may renormalize its origin.
-  std::uint32_t head_top_slot();
-  int head_top_flow();
-  void head_pop();
-
-  int flow_count_ = 0;
-  std::vector<PClockSla> dense_slas_;  ///< empty in uniform-SLA mode
-  PClockSla uniform_sla_;
-  bool use_wheel_ = false;
-  FlatSlotMap index_;             ///< flow id -> dense slot
-  std::vector<FlowState> state_;  ///< slot-indexed, grows on first touch
-  IndexedMinHeap<TagKey> head_deadline_;  ///< EDF heap (heap mode)
-  TimerWheel wheel_;                      ///< EDF wheel (wheel mode)
+  std::vector<Flow> flows_;
+  IndexedMinHeap<Time> head_deadline_;  ///< backlogged flows by head deadline
 };
 
 }  // namespace qos

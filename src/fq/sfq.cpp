@@ -6,77 +6,47 @@ namespace qos {
 
 SfqScheduler::SfqScheduler(std::vector<double> weights) {
   QOS_EXPECTS(!weights.empty());
-  for (const double w : weights) QOS_EXPECTS(w > 0);
-  flow_count_ = static_cast<int>(weights.size());
-  dense_weights_ = std::move(weights);
-  head_start_.reset(flow_count_);
-}
-
-SfqScheduler SfqScheduler::uniform(int flow_count, double weight) {
-  QOS_EXPECTS(flow_count > 0);
-  QOS_EXPECTS(weight > 0);
-  SfqScheduler s;
-  s.flow_count_ = flow_count;
-  s.uniform_weight_ = weight;
-  s.head_start_.reset(flow_count);
-  return s;
-}
-
-std::uint32_t SfqScheduler::activate(int flow) {
-  const std::uint32_t slot = index_.find_or_insert(flow);
-  if (slot == state_.size()) {
-    state_.emplace_back();
-    state_.back().weight = weight_of(flow);
+  flows_.resize(weights.size());
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    QOS_EXPECTS(weights[i] > 0);
+    flows_[i].weight = weights[i];
   }
-  return slot;
+  head_start_.reset(flow_count());
 }
 
 void SfqScheduler::enqueue(int flow, std::uint64_t handle, double cost,
                            Time) {
-  QOS_EXPECTS(flow >= 0 && flow < flow_count_);
+  QOS_EXPECTS(flow >= 0 && flow < flow_count());
   QOS_EXPECTS(cost > 0);
-  const std::uint32_t slot = activate(flow);
-  FlowState& f = state_[slot];
+  Flow& f = flows_[static_cast<std::size_t>(flow)];
   Item item;
   item.handle = handle;
   item.start = std::max(v_, f.last_finish);
-  item.finish = item.start + cost / f.weight;
-  f.last_finish = item.finish;
+  f.last_finish = item.start + cost / f.weight;
   const bool was_empty = f.queue.empty();
   f.queue.push_back(item);
-  if (was_empty)
-    head_start_.push(static_cast<int>(slot), TagKey{item.start, flow});
+  if (was_empty) head_start_.push(flow, item.start);
 }
 
 std::optional<FqDispatch> SfqScheduler::dequeue(Time) {
   if (head_start_.empty()) return std::nullopt;
-  const int slot = head_start_.top();
-  const int flow = head_start_.top_key().second;
-  FlowState& f = state_[static_cast<std::size_t>(slot)];
+  const int flow = head_start_.top();
+  Flow& f = flows_[static_cast<std::size_t>(flow)];
   const Item item = f.queue.front();
   f.queue.pop_front();
   v_ = item.start;  // SFQ: virtual time tracks the start tag in service
   if (f.queue.empty())
     head_start_.pop();
   else
-    head_start_.update(slot, TagKey{f.queue.front().start, flow});
+    head_start_.update(flow, f.queue.front().start);
   return FqDispatch{flow, item.handle};
 }
 
 bool SfqScheduler::empty() const { return head_start_.empty(); }
 
 std::size_t SfqScheduler::backlog(int flow) const {
-  QOS_EXPECTS(flow >= 0 && flow < flow_count_);
-  const std::uint32_t slot = index_.find(flow);
-  return slot == FlatSlotMap::kNoSlot ? 0 : state_[slot].queue.size();
-}
-
-std::size_t SfqScheduler::approx_memory_bytes() const {
-  std::size_t queues = 0;
-  for (const FlowState& f : state_) queues += f.queue.capacity() * sizeof(Item);
-  return index_.memory_bytes() + state_.capacity() * sizeof(FlowState) +
-         queues + head_start_.memory_bytes() +
-         dense_weights_.capacity() * sizeof(double);
+  QOS_EXPECTS(flow >= 0 && flow < flow_count());
+  return flows_[static_cast<std::size_t>(flow)].queue.size();
 }
 
 }  // namespace qos

@@ -7,25 +7,18 @@
 // with bounded unfairness and is the simplest member of the family the paper
 // cites for the FairQueue recombination.
 //
-// Hot path, million-flow layout: flow ids are sparse keys into a
-// FlatSlotMap (one cache-line bucket probe), which assigns each flow a
-// dense slot on first touch; per-flow state (weight, last finish tag,
-// pooled FIFO) lives in a slot-indexed array that grows with flows *seen*,
-// not with the configured id space.  Backlogged flows sit in a slot-keyed
-// indexed min-heap whose key is the pair (head start tag, flow id), so
-// dequeue is O(log backlogged) and the lowest-flow-id tie-break reproduces
-// the original scan's dispatch order exactly
-// (tests/test_fq_differential.cpp holds it to the frozen scan reference).
-// The uniform-weight constructor keeps weights in O(1) space so a 10^6-flow
-// scheduler costs nothing per idle flow.
+// Layout: per-flow state (weight, last finish tag, pooled FIFO) lives in a
+// vector sized to flow_count() and indexed by flow id.  Backlogged flows sit
+// in an IndexedMinHeap keyed by flow id on their head start tag, so dequeue
+// is O(log backlogged) and the heap's (key, lowest id) order reproduces the
+// original scan's dispatch order exactly (tests/test_fq_differential.cpp
+// holds it to fq/scan_reference.h).
 #pragma once
 
-#include <utility>
 #include <vector>
 
 #include "fq/fair_scheduler.h"
 #include "util/check.h"
-#include "util/flat_table.h"
 #include "util/indexed_heap.h"
 #include "util/ring_buffer.h"
 
@@ -35,13 +28,7 @@ class SfqScheduler final : public FairScheduler {
  public:
   explicit SfqScheduler(std::vector<double> weights);
 
-  /// Million-flow form: `flow_count` flows all weighing `weight`, stored
-  /// O(1) — no dense per-flow vector is ever materialized.  (A named
-  /// factory, not a constructor overload: `{1.0, 2.0}` must keep meaning a
-  /// two-flow weight vector, never a narrowed (count, weight) pair.)
-  static SfqScheduler uniform(int flow_count, double weight);
-
-  int flow_count() const override { return flow_count_; }
+  int flow_count() const override { return static_cast<int>(flows_.size()); }
   void enqueue(int flow, std::uint64_t handle, double cost, Time now) override;
   std::optional<FqDispatch> dequeue(Time now) override;
   bool empty() const override;
@@ -49,44 +36,19 @@ class SfqScheduler final : public FairScheduler {
 
   double virtual_time() const { return v_; }
 
-  /// Bytes held by the scheduler's own structures (flow table, per-flow
-  /// state, head-tag heap): O(flows seen), asserted by the micro bench.
-  std::size_t approx_memory_bytes() const;
-
  private:
   struct Item {
     std::uint64_t handle = 0;
     double start = 0;
-    double finish = 0;
   };
-  // One-or-two cache lines per active flow: 16 bytes of tag state plus the
-  // pooled FIFO header; queue storage is pooled per flow by RingBuffer.
-  struct FlowState {
+  struct Flow {
     double weight = 1;
     double last_finish = 0;
     RingBuffer<Item> queue;
   };
-  /// Heap key: (head start tag, flow id) — the pair's lexicographic order
-  /// is the scan-equivalent total order even though the heap is slot-keyed.
-  using TagKey = std::pair<double, int>;
 
-  double weight_of(int flow) const {
-    return dense_weights_.empty()
-               ? uniform_weight_
-               : dense_weights_[static_cast<std::size_t>(flow)];
-  }
-
-  /// Slot for `flow`, materializing per-flow state on first touch.
-  std::uint32_t activate(int flow);
-
-  SfqScheduler() = default;  ///< used by the uniform() factory
-
-  int flow_count_ = 0;
-  std::vector<double> dense_weights_;  ///< empty in uniform-weight mode
-  double uniform_weight_ = 1;
-  FlatSlotMap index_;                ///< flow id -> dense slot
-  std::vector<FlowState> state_;     ///< slot-indexed, grows on first touch
-  IndexedMinHeap<TagKey> head_start_;  ///< backlogged slots by head start
+  std::vector<Flow> flows_;
+  IndexedMinHeap<double> head_start_;  ///< backlogged flows by head start
   double v_ = 0;
 };
 

@@ -6,51 +6,28 @@ namespace qos {
 
 Wf2qPlusScheduler::Wf2qPlusScheduler(std::vector<double> weights) {
   QOS_EXPECTS(!weights.empty());
-  for (const double w : weights) {
-    QOS_EXPECTS(w > 0);
-    total_weight_ += w;
+  flows_.resize(weights.size());
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    QOS_EXPECTS(weights[i] > 0);
+    flows_[i].weight = weights[i];
+    total_weight_ += weights[i];
   }
-  flow_count_ = static_cast<int>(weights.size());
-  dense_weights_ = std::move(weights);
-  eligible_.reset(flow_count_);
-  ineligible_.reset(flow_count_);
+  eligible_.reset(flow_count());
+  ineligible_.reset(flow_count());
 }
 
-Wf2qPlusScheduler Wf2qPlusScheduler::uniform(int flow_count, double weight) {
-  QOS_EXPECTS(flow_count > 0);
-  QOS_EXPECTS(weight > 0);
-  Wf2qPlusScheduler s;
-  s.flow_count_ = flow_count;
-  s.uniform_weight_ = weight;
-  s.total_weight_ = weight * flow_count;
-  s.eligible_.reset(flow_count);
-  s.ineligible_.reset(flow_count);
-  return s;
-}
-
-std::uint32_t Wf2qPlusScheduler::activate(int flow) {
-  const std::uint32_t slot = index_.find_or_insert(flow);
-  if (slot == state_.size()) {
-    state_.emplace_back();
-    state_.back().weight = weight_of(flow);
-  }
-  return slot;
-}
-
-void Wf2qPlusScheduler::classify(std::uint32_t slot, int flow,
-                                 const Item& head) {
+void Wf2qPlusScheduler::classify(int flow, const Item& head) {
   if (head.start <= v_)
-    eligible_.push(static_cast<int>(slot), TagKey{head.finish, flow});
+    eligible_.push(flow, head.finish);
   else
-    ineligible_.push(static_cast<int>(slot), TagKey{head.start, flow});
+    ineligible_.push(flow, head.start);
 }
 
 void Wf2qPlusScheduler::enqueue(int flow, std::uint64_t handle, double cost,
                                 Time) {
-  QOS_EXPECTS(flow >= 0 && flow < flow_count_);
+  QOS_EXPECTS(flow >= 0 && flow < flow_count());
   QOS_EXPECTS(cost > 0);
-  const std::uint32_t slot = activate(flow);
-  FlowState& f = state_[slot];
+  Flow& f = flows_[static_cast<std::size_t>(flow)];
   Item item;
   item.handle = handle;
   item.cost = cost;
@@ -59,7 +36,7 @@ void Wf2qPlusScheduler::enqueue(int flow, std::uint64_t handle, double cost,
   f.last_finish = item.finish;
   const bool was_empty = f.queue.empty();
   f.queue.push_back(item);
-  if (was_empty) classify(slot, flow, item);
+  if (was_empty) classify(flow, item);
 }
 
 std::optional<FqDispatch> Wf2qPlusScheduler::dequeue(Time) {
@@ -69,27 +46,21 @@ std::optional<FqDispatch> Wf2qPlusScheduler::dequeue(Time) {
   // any eligible flow (head start <= V) that minimum cannot exceed V, so
   // only the all-ineligible case moves V — to the ineligible heap's top,
   // which is exactly the minimum backlogged head start.
-  if (eligible_.empty()) v_ = std::max(v_, ineligible_.top_key().first);
-  while (!ineligible_.empty() && ineligible_.top_key().first <= v_) {
-    const int flow = ineligible_.top_key().second;
-    const int slot = ineligible_.pop();
-    eligible_.push(slot,
-                   TagKey{state_[static_cast<std::size_t>(slot)]
-                              .queue.front()
-                              .finish,
-                          flow});
+  if (eligible_.empty()) v_ = std::max(v_, ineligible_.top_key());
+  while (!ineligible_.empty() && ineligible_.top_key() <= v_) {
+    const int flow = ineligible_.pop();
+    eligible_.push(flow,
+                   flows_[static_cast<std::size_t>(flow)].queue.front().finish);
   }
 
   // Smallest finish tag among eligible heads (lowest flow id on ties).
   QOS_CHECK(!eligible_.empty());
-  const int flow = eligible_.top_key().second;
-  const int slot = eligible_.pop();
-  FlowState& f = state_[static_cast<std::size_t>(slot)];
+  const int flow = eligible_.pop();
+  Flow& f = flows_[static_cast<std::size_t>(flow)];
   const Item item = f.queue.front();
   f.queue.pop_front();
   v_ += item.cost / total_weight_;
-  if (!f.queue.empty())
-    classify(static_cast<std::uint32_t>(slot), flow, f.queue.front());
+  if (!f.queue.empty()) classify(flow, f.queue.front());
   return FqDispatch{flow, item.handle};
 }
 
@@ -98,17 +69,8 @@ bool Wf2qPlusScheduler::empty() const {
 }
 
 std::size_t Wf2qPlusScheduler::backlog(int flow) const {
-  QOS_EXPECTS(flow >= 0 && flow < flow_count_);
-  const std::uint32_t slot = index_.find(flow);
-  return slot == FlatSlotMap::kNoSlot ? 0 : state_[slot].queue.size();
-}
-
-std::size_t Wf2qPlusScheduler::approx_memory_bytes() const {
-  std::size_t queues = 0;
-  for (const FlowState& f : state_) queues += f.queue.capacity() * sizeof(Item);
-  return index_.memory_bytes() + state_.capacity() * sizeof(FlowState) +
-         queues + eligible_.memory_bytes() + ineligible_.memory_bytes() +
-         dense_weights_.capacity() * sizeof(double);
+  QOS_EXPECTS(flow >= 0 && flow < flow_count());
+  return flows_[static_cast<std::size_t>(flow)].queue.size();
 }
 
 }  // namespace qos

@@ -7,24 +7,21 @@
 // cost / total weight and jumps up to the minimum backlogged start tag so it
 // can never stall behind an idle system (the "+" of WF2Q+).
 //
-// Hot path, million-flow layout: the classic two-heap eligible-set
-// structure, on sparse flow state.  Flow ids map through a FlatSlotMap to
-// dense slots assigned on first touch; per-flow state is slot-indexed.
-// Backlogged flows whose head is eligible (start <= V) sit in a slot-keyed
-// min-heap under the pair key (head finish tag, flow id); the rest sit in a
-// heap under (head start tag, flow id).  Each dequeue advances V off the
-// ineligible heap's top when no flow is eligible, migrates newly eligible
-// heads across, and pops the smallest finish tag — O(log backlogged)
-// amortized, with the lowest-flow-id tie-break reproducing the original
-// scan order exactly (differential-tested against fq/scan_reference.h).
+// Layout: the classic two-heap eligible-set structure.  Per-flow state lives
+// in a vector sized to flow_count() and indexed by flow id.  Backlogged
+// flows whose head is eligible (start <= V) sit in an IndexedMinHeap keyed
+// by flow id on their head finish tag; the rest sit in one on their head
+// start tag.  Each dequeue advances V off the ineligible heap's top when no
+// flow is eligible, migrates newly eligible heads across, and pops the
+// smallest finish tag — O(log backlogged) amortized, with the heaps'
+// (key, lowest id) order reproducing the original scan order exactly
+// (differential-tested against fq/scan_reference.h).
 #pragma once
 
-#include <utility>
 #include <vector>
 
 #include "fq/fair_scheduler.h"
 #include "util/check.h"
-#include "util/flat_table.h"
 #include "util/indexed_heap.h"
 #include "util/ring_buffer.h"
 
@@ -34,22 +31,13 @@ class Wf2qPlusScheduler final : public FairScheduler {
  public:
   explicit Wf2qPlusScheduler(std::vector<double> weights);
 
-  /// Million-flow form: `flow_count` flows all weighing `weight`, stored
-  /// O(1) — no dense per-flow vector is ever materialized.  (A named
-  /// factory, not a constructor overload: `{1.0, 2.0}` must keep meaning a
-  /// two-flow weight vector, never a narrowed (count, weight) pair.)
-  static Wf2qPlusScheduler uniform(int flow_count, double weight);
-
-  int flow_count() const override { return flow_count_; }
+  int flow_count() const override { return static_cast<int>(flows_.size()); }
   void enqueue(int flow, std::uint64_t handle, double cost, Time now) override;
   std::optional<FqDispatch> dequeue(Time now) override;
   bool empty() const override;
   std::size_t backlog(int flow) const override;
 
   double virtual_time() const { return v_; }
-
-  /// Bytes held by the scheduler's own structures: O(flows seen).
-  std::size_t approx_memory_bytes() const;
 
  private:
   struct Item {
@@ -58,38 +46,20 @@ class Wf2qPlusScheduler final : public FairScheduler {
     double start = 0;
     double finish = 0;
   };
-  struct FlowState {
+  struct Flow {
     double weight = 1;
     double last_finish = 0;
     RingBuffer<Item> queue;
   };
-  /// Heap key: (tag, flow id) — lexicographic pair order is the
-  /// scan-equivalent total order even though the heaps are slot-keyed.
-  using TagKey = std::pair<double, int>;
-
-  double weight_of(int flow) const {
-    return dense_weights_.empty()
-               ? uniform_weight_
-               : dense_weights_[static_cast<std::size_t>(flow)];
-  }
-
-  /// Slot for `flow`, materializing per-flow state on first touch.
-  std::uint32_t activate(int flow);
-
-  Wf2qPlusScheduler() = default;  ///< used by the uniform() factory
 
   /// File the backlogged flow under the heap its head belongs to.  Flow
   /// heads are immutable between reclassification points (enqueue-to-empty
   /// and post-dispatch), so heap keys can never go stale.
-  void classify(std::uint32_t slot, int flow, const Item& head);
+  void classify(int flow, const Item& head);
 
-  int flow_count_ = 0;
-  std::vector<double> dense_weights_;  ///< empty in uniform-weight mode
-  double uniform_weight_ = 1;
-  FlatSlotMap index_;               ///< flow id -> dense slot
-  std::vector<FlowState> state_;    ///< slot-indexed, grows on first touch
-  IndexedMinHeap<TagKey> eligible_;    ///< head start <= V, by head finish
-  IndexedMinHeap<TagKey> ineligible_;  ///< head start  > V, by head start
+  std::vector<Flow> flows_;
+  IndexedMinHeap<double> eligible_;    ///< head start <= V, by head finish
+  IndexedMinHeap<double> ineligible_;  ///< head start  > V, by head start
   double v_ = 0;
   double total_weight_ = 0;
 };

@@ -6,57 +6,32 @@ namespace qos {
 
 WfqScheduler::WfqScheduler(std::vector<double> weights) {
   QOS_EXPECTS(!weights.empty());
-  for (const double w : weights) {
-    QOS_EXPECTS(w > 0);
-    total_weight_ += w;
+  flows_.resize(weights.size());
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    QOS_EXPECTS(weights[i] > 0);
+    flows_[i].weight = weights[i];
   }
-  flow_count_ = static_cast<int>(weights.size());
-  dense_weights_ = std::move(weights);
-  head_finish_.reset(flow_count_);
-}
-
-WfqScheduler WfqScheduler::uniform(int flow_count, double weight) {
-  QOS_EXPECTS(flow_count > 0);
-  QOS_EXPECTS(weight > 0);
-  WfqScheduler s;
-  s.flow_count_ = flow_count;
-  s.uniform_weight_ = weight;
-  s.total_weight_ = weight * flow_count;
-  s.head_finish_.reset(flow_count);
-  return s;
-}
-
-std::uint32_t WfqScheduler::activate(int flow) {
-  const std::uint32_t slot = index_.find_or_insert(flow);
-  if (slot == state_.size()) {
-    state_.emplace_back();
-    state_.back().weight = weight_of(flow);
-  }
-  return slot;
+  head_finish_.reset(flow_count());
 }
 
 void WfqScheduler::enqueue(int flow, std::uint64_t handle, double cost,
                            Time) {
-  QOS_EXPECTS(flow >= 0 && flow < flow_count_);
+  QOS_EXPECTS(flow >= 0 && flow < flow_count());
   QOS_EXPECTS(cost > 0);
-  const std::uint32_t slot = activate(flow);
-  FlowState& f = state_[slot];
+  Flow& f = flows_[static_cast<std::size_t>(flow)];
   Item item;
   item.handle = handle;
-  item.cost = cost;
   item.finish = std::max(v_, f.last_finish) + cost / f.weight;
   f.last_finish = item.finish;
   const bool was_empty = f.queue.empty();
   f.queue.push_back(item);
-  if (was_empty)
-    head_finish_.push(static_cast<int>(slot), TagKey{item.finish, flow});
+  if (was_empty) head_finish_.push(flow, item.finish);
 }
 
 std::optional<FqDispatch> WfqScheduler::dequeue(Time) {
   if (head_finish_.empty()) return std::nullopt;
-  const int slot = head_finish_.top();
-  const int flow = head_finish_.top_key().second;
-  FlowState& f = state_[static_cast<std::size_t>(slot)];
+  const int flow = head_finish_.top();
+  Flow& f = flows_[static_cast<std::size_t>(flow)];
   const Item item = f.queue.front();
   f.queue.pop_front();
   // Self-clocked virtual time (SCFQ approximation of GPS time): V tracks
@@ -66,24 +41,15 @@ std::optional<FqDispatch> WfqScheduler::dequeue(Time) {
   if (f.queue.empty())
     head_finish_.pop();
   else
-    head_finish_.update(slot, TagKey{f.queue.front().finish, flow});
+    head_finish_.update(flow, f.queue.front().finish);
   return FqDispatch{flow, item.handle};
 }
 
 bool WfqScheduler::empty() const { return head_finish_.empty(); }
 
 std::size_t WfqScheduler::backlog(int flow) const {
-  QOS_EXPECTS(flow >= 0 && flow < flow_count_);
-  const std::uint32_t slot = index_.find(flow);
-  return slot == FlatSlotMap::kNoSlot ? 0 : state_[slot].queue.size();
-}
-
-std::size_t WfqScheduler::approx_memory_bytes() const {
-  std::size_t queues = 0;
-  for (const FlowState& f : state_) queues += f.queue.capacity() * sizeof(Item);
-  return index_.memory_bytes() + state_.capacity() * sizeof(FlowState) +
-         queues + head_finish_.memory_bytes() +
-         dense_weights_.capacity() * sizeof(double);
+  QOS_EXPECTS(flow >= 0 && flow < flow_count());
+  return flows_[static_cast<std::size_t>(flow)].queue.size();
 }
 
 }  // namespace qos

@@ -9,22 +9,17 @@
 // fluid share.  Included for completeness of the cited family and for the
 // ablation bench.
 //
-// Hot path, million-flow layout: flow ids are sparse keys into a
-// FlatSlotMap, which assigns each flow a dense slot on first touch; per-flow
-// state is slot-indexed and grows with flows *seen*, not with the configured
-// id space.  Backlogged flows sit in a slot-keyed indexed min-heap whose key
-// is (head finish tag, flow id), so dequeue is O(log backlogged) and the
-// lowest-flow-id tie-break reproduces the original scan order exactly
-// (differential-tested against fq/scan_reference.h).  The uniform-weight
-// constructor keeps weights in O(1) space.
+// Layout: per-flow state lives in a vector sized to flow_count() and
+// indexed by flow id.  Backlogged flows sit in an IndexedMinHeap keyed by
+// flow id on their head finish tag, so dequeue is O(log backlogged) and the
+// heap's (key, lowest id) order reproduces the original scan order exactly
+// (differential-tested against fq/scan_reference.h).
 #pragma once
 
-#include <utility>
 #include <vector>
 
 #include "fq/fair_scheduler.h"
 #include "util/check.h"
-#include "util/flat_table.h"
 #include "util/indexed_heap.h"
 #include "util/ring_buffer.h"
 
@@ -34,13 +29,7 @@ class WfqScheduler final : public FairScheduler {
  public:
   explicit WfqScheduler(std::vector<double> weights);
 
-  /// Million-flow form: `flow_count` flows all weighing `weight`, stored
-  /// O(1) — no dense per-flow vector is ever materialized.  (A named
-  /// factory, not a constructor overload: `{1.0, 2.0}` must keep meaning a
-  /// two-flow weight vector, never a narrowed (count, weight) pair.)
-  static WfqScheduler uniform(int flow_count, double weight);
-
-  int flow_count() const override { return flow_count_; }
+  int flow_count() const override { return static_cast<int>(flows_.size()); }
   void enqueue(int flow, std::uint64_t handle, double cost, Time now) override;
   std::optional<FqDispatch> dequeue(Time now) override;
   bool empty() const override;
@@ -48,43 +37,20 @@ class WfqScheduler final : public FairScheduler {
 
   double virtual_time() const { return v_; }
 
-  /// Bytes held by the scheduler's own structures: O(flows seen).
-  std::size_t approx_memory_bytes() const;
-
  private:
   struct Item {
     std::uint64_t handle = 0;
-    double cost = 1;
     double finish = 0;
   };
-  struct FlowState {
+  struct Flow {
     double weight = 1;
     double last_finish = 0;
     RingBuffer<Item> queue;
   };
-  /// Heap key: (head finish tag, flow id) — lexicographic pair order is the
-  /// scan-equivalent total order even though the heap is slot-keyed.
-  using TagKey = std::pair<double, int>;
 
-  double weight_of(int flow) const {
-    return dense_weights_.empty()
-               ? uniform_weight_
-               : dense_weights_[static_cast<std::size_t>(flow)];
-  }
-
-  /// Slot for `flow`, materializing per-flow state on first touch.
-  std::uint32_t activate(int flow);
-
-  WfqScheduler() = default;  ///< used by the uniform() factory
-
-  int flow_count_ = 0;
-  std::vector<double> dense_weights_;  ///< empty in uniform-weight mode
-  double uniform_weight_ = 1;
-  FlatSlotMap index_;                 ///< flow id -> dense slot
-  std::vector<FlowState> state_;      ///< slot-indexed, grows on first touch
-  IndexedMinHeap<TagKey> head_finish_;  ///< backlogged slots by head finish
+  std::vector<Flow> flows_;
+  IndexedMinHeap<double> head_finish_;  ///< backlogged flows by head finish
   double v_ = 0;
-  double total_weight_ = 0;
 };
 
 }  // namespace qos

@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "obs/trace_stream.h"
+#include "util/parse_number.h"
 
 namespace qos {
 
@@ -47,10 +48,10 @@ BenchOptions parse_bench_args(int argc, char** argv,
       return argv[++i];
     };
     if (std::strcmp(arg, "--threads") == 0) {
-      char* end = nullptr;
       const char* v = value();
-      options.threads = static_cast<int>(std::strtol(v, &end, 10));
-      if (end == v || *end != '\0' || options.threads < 0) usage(v);
+      const auto threads = parse_whole_number(v, 0);
+      if (!threads) usage(v);
+      options.threads = *threads;
     } else if (std::strcmp(arg, "--no-cache") == 0) {
       options.use_cache = false;
     } else if (std::strcmp(arg, "--cache-dir") == 0) {
@@ -62,10 +63,10 @@ BenchOptions parse_bench_args(int argc, char** argv,
     } else if (std::strcmp(arg, "--trace-out") == 0) {
       options.trace_out = value();
     } else if (std::strcmp(arg, "--trace-sample") == 0) {
-      char* end = nullptr;
       const char* v = value();
-      options.trace_sample = std::strtoull(v, &end, 10);
-      if (end == v || *end != '\0' || options.trace_sample < 1) usage(v);
+      const auto sample = parse_whole_number<std::uint64_t>(v, 1);
+      if (!sample) usage(v);
+      options.trace_sample = *sample;
     } else {
       usage(arg);
     }

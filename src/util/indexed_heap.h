@@ -1,14 +1,11 @@
 // Indexed binary min-heap over small dense integer ids.
 //
 // The event simulator keys it by completion time over server ids; the fair
-// schedulers key it by head tag over flow slots.  Both need the exact total
+// schedulers key it by head tag over flow ids.  Both need the exact total
 // order their original linear scans induced: ascending key, ties broken by
 // the *lowest id* (the scans used a strict `<` improvement test walking ids
 // in ascending order).  The heap therefore orders nodes lexicographically by
 // (key, id), which makes every pop bit-compatible with the scan it replaced.
-// (A backend whose tie-break unit is not its heap id — e.g. a slot-keyed
-// heap that must tie-break on flow id — folds the tie value into a pair
-// Key, whose lexicographic `<` subsumes the id comparison.)
 //
 // A position table gives O(log n) update/erase of an arbitrary id.  The
 // table grows lazily toward `id_capacity` as ids are first pushed, so a

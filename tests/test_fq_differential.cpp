@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "fq/dense_reference.h"
 #include "fq/pclock.h"
 #include "fq/scan_reference.h"
 #include "fq/sfq.h"
@@ -196,13 +195,12 @@ TEST(FqDifferential, Wf2qMatchesScanReference) {
 }
 
 // ---------------------------------------------------------------------------
-// Sparse activation at 4k flows: the flat-table backends' regime.  Cohorts
-// of flows scattered across the id space activate, drain fully idle, and
-// later cohorts reactivate with fresh tags — the pattern that exercises
-// first-touch slot assignment, idle-flow tag persistence (last_finish /
+// Sparse activation at 4k flows.  Cohorts of flows scattered across the id
+// space activate, drain fully idle, and later cohorts reactivate with fresh
+// tags — the pattern that exercises idle-flow tag persistence (last_finish /
 // token debt must survive an empty queue) and heap re-entry, none of which
-// the small dense differentials above reach.  Unit costs in half the phases
-// force equal-tag tie-break storms across cohort boundaries.
+// the small differentials above reach.  Unit costs in half the phases force
+// equal-tag tie-break storms across cohort boundaries.
 
 constexpr int kSparseFlows = 4096;
 
@@ -250,8 +248,8 @@ void sparse_phase(Prod& prod, Ref& ref, const std::vector<int>& cohort,
 
 // Phase `p`'s cohort: 48 flows marching through the id space on an odd
 // multiplicative stride (injective over any 48 consecutive indices), so
-// consecutive phases share almost no flows and slots are assigned in an
-// order unrelated to flow id.
+// consecutive phases share almost no flows and activate in an order
+// unrelated to flow id.
 std::vector<int> sparse_cohort(int phase, int flows) {
   std::vector<int> cohort;
   for (int i = 0; i < 48; ++i)
@@ -274,85 +272,34 @@ void sparse_differential(Prod& prod, Ref& ref, std::uint64_t seed,
 }
 
 TEST(FqSparseActivation, SfqMatchesScanReference) {
-  auto prod = SfqScheduler::uniform(kSparseFlows, 1.0);
-  scanref::ScanSfqScheduler ref(std::vector<double>(kSparseFlows, 1.0));
+  const std::vector<double> weights(kSparseFlows, 1.0);
+  SfqScheduler prod(weights);
+  scanref::ScanSfqScheduler ref(weights);
   sparse_differential(prod, ref, 101, /*timed=*/false);
   EXPECT_EQ(prod.virtual_time(), ref.virtual_time());
 }
 
 TEST(FqSparseActivation, WfqMatchesScanReference) {
-  auto prod = WfqScheduler::uniform(kSparseFlows, 1.0);
-  scanref::ScanWfqScheduler ref(std::vector<double>(kSparseFlows, 1.0));
+  const std::vector<double> weights(kSparseFlows, 1.0);
+  WfqScheduler prod(weights);
+  scanref::ScanWfqScheduler ref(weights);
   sparse_differential(prod, ref, 102, /*timed=*/false);
   EXPECT_EQ(prod.virtual_time(), ref.virtual_time());
 }
 
 TEST(FqSparseActivation, Wf2qMatchesScanReference) {
-  auto prod = Wf2qPlusScheduler::uniform(kSparseFlows, 1.0);
-  scanref::ScanWf2qPlusScheduler ref(std::vector<double>(kSparseFlows, 1.0));
+  const std::vector<double> weights(kSparseFlows, 1.0);
+  Wf2qPlusScheduler prod(weights);
+  scanref::ScanWf2qPlusScheduler ref(weights);
   sparse_differential(prod, ref, 103, /*timed=*/false);
   EXPECT_EQ(prod.virtual_time(), ref.virtual_time());
 }
 
-TEST(FqSparseActivation, PClockBothHeadStructuresMatchScanReference) {
-  // 4096 flows sits exactly at the wheel auto-threshold: run the timer
-  // wheel (what kAuto picks here) and the pinned heap against the same
-  // scan reference, proving head-structure choice is performance-only.
-  for (const auto head : {PClockHeadTags::kWheel, PClockHeadTags::kHeap}) {
-    auto prod = PClockScheduler::uniform(kSparseFlows, PClockSla{}, head);
-    EXPECT_EQ(prod.uses_timer_wheel(), head == PClockHeadTags::kWheel);
-    scanref::ScanPClockScheduler ref(
-        std::vector<PClockSla>(kSparseFlows, PClockSla{}));
-    sparse_differential(prod, ref, 104, /*timed=*/true);
-  }
-}
-
-TEST(FqSparseActivation, PClockAutoSelectsWheelAtThreshold) {
-  EXPECT_FALSE(PClockScheduler(std::vector<PClockSla>(4, PClockSla{}))
-                   .uses_timer_wheel());
-  EXPECT_TRUE(PClockScheduler::uniform(PClockScheduler::kWheelAutoThreshold,
-                                       PClockSla{})
-                  .uses_timer_wheel());
-}
-
-TEST(FqTieBreak, PClockWheelEqualDeadlinesDispatchLowestFlowFirst) {
-  equal_tag_tie_break(PClockScheduler(std::vector<PClockSla>(4, PClockSla{}),
-                                      PClockHeadTags::kWheel));
-}
-
-// The uniform() factories must be indistinguishable from the equivalent
-// dense weight/SLA vectors — same tags, same dispatch, same virtual time.
-TEST(FqSparseActivation, UniformFactoriesMatchVectorConstructors) {
-  {
-    auto a = SfqScheduler::uniform(64, 2.0);
-    SfqScheduler b(std::vector<double>(64, 2.0));
-    sparse_differential(a, b, 105, /*timed=*/false);
-    EXPECT_EQ(a.virtual_time(), b.virtual_time());
-  }
-  {
-    auto a = Wf2qPlusScheduler::uniform(64, 2.0);
-    Wf2qPlusScheduler b(std::vector<double>(64, 2.0));
-    sparse_differential(a, b, 106, /*timed=*/false);
-    EXPECT_EQ(a.virtual_time(), b.virtual_time());
-  }
-}
-
-// The frozen dense copies in fq/dense_reference.h are the bench baseline;
-// hold them to the same scan order so a drift there cannot silently skew
-// the flat-vs-dense comparison.
-TEST(FqSparseActivation, DenseReferenceAgreesWithScanReference) {
-  {
-    denseref::DenseSfqScheduler dense(std::vector<double>(64, 1.0));
-    scanref::ScanSfqScheduler scan(std::vector<double>(64, 1.0));
-    sparse_differential(dense, scan, 107, /*timed=*/false);
-  }
-  {
-    denseref::DensePClockScheduler dense(
-        std::vector<PClockSla>(64, PClockSla{}));
-    scanref::ScanPClockScheduler scan(
-        std::vector<PClockSla>(64, PClockSla{}));
-    sparse_differential(dense, scan, 108, /*timed=*/true);
-  }
+TEST(FqSparseActivation, PClockMatchesScanReference) {
+  const std::vector<PClockSla> slas(kSparseFlows, PClockSla{});
+  PClockScheduler prod(slas);
+  scanref::ScanPClockScheduler ref(slas);
+  sparse_differential(prod, ref, 104, /*timed=*/true);
 }
 
 TEST(FqDifferential, PClockMatchesScanReference) {

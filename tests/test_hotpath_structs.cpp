@@ -1,9 +1,10 @@
 // Unit and differential tests for the hot-path containers introduced by the
 // event-core overhaul: RingBuffer (pooled deque replacement), IndexedMinHeap
-// (scan-order-compatible priority queue) and MonotoneMinQueue (Miser's slack
-// window).  The randomized sections drive each structure and its textbook
-// counterpart (std::deque / linear scan / std::multiset) through identical
-// seeded op streams and demand identical answers at every step.
+// (scan-order-compatible priority queue, with its lazily grown position
+// table) and MonotoneMinQueue (Miser's slack window).  The randomized
+// sections drive each structure and its textbook counterpart (std::deque /
+// linear scan / std::multiset) through identical seeded op streams and
+// demand identical answers at every step.
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -209,6 +210,24 @@ TEST(IndexedMinHeap, DifferentialAgainstLinearScan) {
       ASSERT_EQ(h.top_key(), key[static_cast<std::size_t>(best)]);
     }
   }
+}
+
+// Lazy footprint: reset(huge) must not allocate, and the position table
+// must track the largest id pushed, not the capacity bound.
+
+TEST(IndexedMinHeapLazy, ResetReservesNothing) {
+  IndexedMinHeap<double> h;
+  h.reset(1'000'000);
+  EXPECT_EQ(h.memory_bytes(), 0u);
+}
+
+TEST(IndexedMinHeapLazy, FootprintTracksMaxIdPushedNotCapacity) {
+  IndexedMinHeap<double> h(1'000'000);
+  for (int id = 0; id < 64; ++id) h.push(id, 1.0 * id);
+  // 64 live nodes => a few KB, nowhere near the ~8 MB an eager position
+  // table over 10^6 ids would cost.
+  EXPECT_LT(h.memory_bytes(), 64u * 1024u);
+  EXPECT_EQ(h.pop(), 0);
 }
 
 TEST(MonotoneMinQueue, TracksMinUnderFifoRetirement) {

@@ -52,7 +52,7 @@ RequestSpan& Tracer::live(const Event& e) {
   return span;
 }
 
-void Tracer::finish(RequestSpan span) {
+void Tracer::finish(const RequestSpan& span) {
   if (span_sink_ != nullptr) {
     span_sink_->on_span(span);  // streaming mode: forward, never retain
     return;
@@ -143,9 +143,8 @@ void Tracer::on_event(const Event& e) {
       RequestSpan& s = live(e);
       s.completion = e.time;
       s.klass = e.klass;
-      RequestSpan finished = s;
+      finish(s);
       live_.erase(e.seq);
-      finish(finished);
       break;
     }
     case EventKind::kDiskService:

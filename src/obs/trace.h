@@ -191,7 +191,7 @@ class Tracer final : public EventSink {
             (seq >> sample_shift_) * sample_inv_ <= sample_thresh_);
   }
   RequestSpan& live(const Event& e);
-  void finish(RequestSpan span);
+  void finish(const RequestSpan& span);
 
   std::uint64_t sample_every_;
   std::uint64_t sample_low_mask_ = 0;  ///< 2^s - 1

@@ -62,49 +62,95 @@ class TraceStream final : public RequestStream {
 /// exactly the order Trace::merge's concatenate-then-stable-sort produces —
 /// so merging streams and streaming a merged Trace are interchangeable.
 ///
-/// Each pull scans one contiguous array of head arrival times (8 bytes per
-/// source) rather than the buffered records themselves; the strict `<` keeps
-/// the lowest source on ties.
+/// A loser tree picks each record.  Leaf c carries source c's key (head
+/// arrival, rank): the rank is c while the source holds a record and
+/// c + L once it is dry, L being the leaf count (K rounded up to a power of
+/// two, so the L - K padding leaves are dry from the start).  Ordering by
+/// that key is the order a scan for the lowest (arrival, source) gives, and
+/// a live record at kTimeMax still comes before every dry source.  Node
+/// n > 0 keeps the key that lost the match played there and node 0 the
+/// overall winner, whose rank names its source.  A pull takes the winner,
+/// refills that source and replays its one leaf-to-root path: ⌈log2 K⌉
+/// comparisons, one code path for every K.  Keys live in the nodes, so a
+/// replay reads no leaf, and each match selects with a mask, not a branch,
+/// because which source wins is as good as random.
 class MergedStream final : public RequestStream {
  public:
   explicit MergedStream(std::vector<std::unique_ptr<RequestStream>> sources)
-      : sources_(std::move(sources)),
-        fronts_(sources_.size()),
-        heads_(sources_.size()) {
-    for (std::size_t c = 0; c < sources_.size(); ++c) refill(c);
+      : sources_(std::move(sources)), fronts_(sources_.size()) {
+    while (leaves_ < sources_.size()) leaves_ *= 2;
+    // Play every match bottom-up: win[n] is the key that wins node n's
+    // subtree (leaves at n = L + c), and node n keeps the key it beat.
+    std::vector<Key> win(2 * leaves_);
+    for (std::size_t c = 0; c < leaves_; ++c) win[leaves_ + c] = refill(c);
+    heads_.resize(leaves_);
+    ranks_.resize(leaves_);
+    for (std::size_t n = leaves_ - 1; n > 0; --n) {
+      Key a = win[2 * n];
+      Key b = win[2 * n + 1];
+      if (before(b.head, b.rank, a.head, a.rank)) std::swap(a, b);
+      win[n] = a;
+      heads_[n] = b.head;
+      ranks_[n] = b.rank;
+    }
+    heads_[0] = win[1].head;
+    ranks_[0] = win[1].rank;
   }
 
   std::optional<Request> next() override {
-    if (heads_.empty()) return std::nullopt;
-    std::size_t best = 0;
-    Time best_arrival = heads_[0];
-    for (std::size_t c = 1; c < heads_.size(); ++c) {
-      if (heads_[c] < best_arrival) {
-        best_arrival = heads_[c];
-        best = c;
-      }
-    }
-    // kTimeMax marks an exhausted source but is also a legal arrival: at
-    // that head time, take the lowest source that still holds a record.
-    while (best < fronts_.size() && !fronts_[best]) ++best;
-    if (best == fronts_.size()) return std::nullopt;
+    const std::size_t best = ranks_[0];
+    if (best >= leaves_) return std::nullopt;  // the winner is dry: all are
     Request r = *fronts_[best];
-    refill(best);
-    QOS_CHECK(heads_[best] >= r.arrival);
+    auto [head, rank] = refill(best);
+    QOS_CHECK(head >= static_cast<std::uint64_t>(r.arrival));
+    for (std::size_t n = (best + leaves_) / 2; n > 0; n /= 2) {
+      // Swap the climbing key with node n's when node n's comes first.
+      const std::uint64_t swap =
+          0 - std::uint64_t{before(heads_[n], ranks_[n], head, rank)};
+      const std::uint64_t head_diff = (heads_[n] ^ head) & swap;
+      const std::uint64_t rank_diff = (ranks_[n] ^ rank) & swap;
+      heads_[n] ^= head_diff;
+      ranks_[n] ^= rank_diff;
+      head ^= head_diff;
+      rank ^= rank_diff;
+    }
+    heads_[0] = head;
+    ranks_[0] = rank;
     r.client = static_cast<std::uint32_t>(best);
     r.seq = seq_++;
     return r;
   }
 
  private:
-  void refill(std::size_t c) {
-    fronts_[c] = sources_[c]->next();
-    heads_[c] = fronts_[c] ? fronts_[c]->arrival : kTimeMax;
+  struct Key {
+    std::uint64_t head;  ///< arrival (never negative), kDry once dry
+    std::uint64_t rank;  ///< leaf index, + leaves_ once dry
+  };
+  static constexpr std::uint64_t kDry = static_cast<std::uint64_t>(kTimeMax);
+
+  /// (xh, xr) < (yh, yr); heads never exceed kTimeMax, so yh + 1 cannot
+  /// wrap.
+  static bool before(std::uint64_t xh, std::uint64_t xr, std::uint64_t yh,
+                     std::uint64_t yr) {
+    return xh < yh + (xr < yr);
+  }
+
+  /// Buffer source c's next record and return leaf c's new key (padding
+  /// leaves have no source and are always dry).
+  Key refill(std::size_t c) {
+    if (c < fronts_.size()) {
+      fronts_[c] = sources_[c]->next();
+      if (fronts_[c])
+        return Key{static_cast<std::uint64_t>(fronts_[c]->arrival), c};
+    }
+    return Key{kDry, c + leaves_};
   }
 
   std::vector<std::unique_ptr<RequestStream>> sources_;
   std::vector<std::optional<Request>> fronts_;  ///< buffered head per source
-  std::vector<Time> heads_;  ///< fronts_[c]'s arrival; kTimeMax once dry
+  std::size_t leaves_ = 1;              ///< L: source count, power of two up
+  std::vector<std::uint64_t> heads_;    ///< per node: its key's head
+  std::vector<std::uint64_t> ranks_;    ///< per node: its key's rank
   std::uint64_t seq_ = 0;
 };
 

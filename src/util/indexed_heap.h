@@ -7,11 +7,10 @@
 // in ascending order).  The heap therefore orders nodes lexicographically by
 // (key, id), which makes every pop bit-compatible with the scan it replaced.
 //
-// A position table gives O(log n) update/erase of an arbitrary id.  The
-// table grows lazily toward `id_capacity` as ids are first pushed, so a
-// heap configured for 10^6 ids but holding a handful costs a handful of
-// entries, not megabytes — `reset` records the capacity bound and
-// allocates nothing.
+// A position table gives O(log n) update of an arbitrary id.  The table
+// grows lazily toward `id_capacity` as ids are first pushed, so a heap
+// configured for 10^6 ids but holding a handful costs a handful of entries,
+// not megabytes — `reset` records the capacity bound and allocates nothing.
 #pragma once
 
 #include <cstddef>
@@ -40,8 +39,6 @@ class IndexedMinHeap {
   bool empty() const { return heap_.empty(); }
   std::size_t size() const { return heap_.size(); }
 
-  bool contains(int id) const { return slot_of(check_id(id)) != kAbsent; }
-
   /// Id with the smallest (key, id).
   int top() const {
     QOS_EXPECTS(!heap_.empty());
@@ -51,12 +48,6 @@ class IndexedMinHeap {
   const Key& top_key() const {
     QOS_EXPECTS(!heap_.empty());
     return heap_[0].key;
-  }
-
-  const Key& key_of(int id) const {
-    const std::size_t p = slot_of(check_id(id));
-    QOS_EXPECTS(p != kAbsent);
-    return heap_[p].key;
   }
 
   void push(int id, Key key) {
@@ -81,14 +72,14 @@ class IndexedMinHeap {
   int pop() {
     QOS_EXPECTS(!heap_.empty());
     const int id = heap_[0].id;
-    remove_at(0);
+    pos_[static_cast<std::size_t>(id)] = kAbsent;
+    const Node last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) {
+      place(0, last);
+      sift_down(0);
+    }
     return id;
-  }
-
-  void erase(int id) {
-    const std::size_t p = slot_of(check_id(id));
-    QOS_EXPECTS(p != kAbsent);
-    remove_at(p);
   }
 
   /// Bytes held by the heap and its position table.  The lazy-growth
@@ -160,17 +151,6 @@ class IndexedMinHeap {
       i = child;
     }
     place(i, n);
-  }
-
-  void remove_at(std::size_t p) {
-    pos_[static_cast<std::size_t>(heap_[p].id)] = kAbsent;
-    const Node last = heap_.back();
-    heap_.pop_back();
-    if (p < heap_.size()) {
-      place(p, last);
-      sift_up(p);
-      sift_down(pos_[static_cast<std::size_t>(last.id)]);
-    }
   }
 
   std::size_t capacity_ = 0;  ///< id bound from reset(); pos_ grows toward it

@@ -139,21 +139,14 @@ TEST(IndexedMinHeap, UpdateMovesBothDirections) {
   h.push(2, 30);
   h.update(2, 5);  // up
   EXPECT_EQ(h.top(), 2);
-  h.update(2, 25);  // down
+  h.update(2, 25);  // down, between ids 0 and 1
   EXPECT_EQ(h.top(), 0);
-  EXPECT_EQ(h.key_of(2), 25);
-}
-
-TEST(IndexedMinHeap, EraseAndContains) {
-  IndexedMinHeap<int> h(4);
-  h.push(0, 1);
-  h.push(1, 2);
-  h.push(2, 3);
-  EXPECT_TRUE(h.contains(1));
-  h.erase(1);
-  EXPECT_FALSE(h.contains(1));
   EXPECT_EQ(h.pop(), 0);
+  EXPECT_EQ(h.top_key(), 20);
+  EXPECT_EQ(h.pop(), 1);
+  EXPECT_EQ(h.top_key(), 25);
   EXPECT_EQ(h.pop(), 2);
+  EXPECT_TRUE(h.empty());
 }
 
 TEST(IndexedMinHeap, ResetClearsAndResizes) {
@@ -172,6 +165,16 @@ TEST(IndexedMinHeap, DifferentialAgainstLinearScan) {
   IndexedMinHeap<std::int64_t> h(kIds);
   std::vector<std::int64_t> key(kIds);
   std::vector<bool> in(kIds, false);
+  auto scan_min = [&] {
+    int best = -1;
+    for (int i = 0; i < kIds; ++i) {
+      if (!in[i]) continue;
+      if (best < 0 || key[static_cast<std::size_t>(i)] <
+                          key[static_cast<std::size_t>(best)])
+        best = i;
+    }
+    return best;
+  };
   Rng rng(7);
   for (int op = 0; op < 20'000; ++op) {
     const int id = static_cast<int>(rng.uniform_int(0, kIds - 1));
@@ -184,28 +187,13 @@ TEST(IndexedMinHeap, DifferentialAgainstLinearScan) {
     } else if (p < 0.5) {
       h.update(id, k);
       key[static_cast<std::size_t>(id)] = k;
-    } else if (p < 0.75) {
-      h.erase(id);
-      in[id] = false;
     } else {
-      int best = -1;
-      for (int i = 0; i < kIds; ++i) {
-        if (!in[i]) continue;
-        if (best < 0 || key[static_cast<std::size_t>(i)] <
-                            key[static_cast<std::size_t>(best)])
-          best = i;
-      }
+      const int best = scan_min();
       ASSERT_EQ(h.pop(), best);
       in[best] = false;
     }
     if (!h.empty()) {
-      int best = -1;
-      for (int i = 0; i < kIds; ++i) {
-        if (!in[i]) continue;
-        if (best < 0 || key[static_cast<std::size_t>(i)] <
-                            key[static_cast<std::size_t>(best)])
-          best = i;
-      }
+      const int best = scan_min();
       ASSERT_EQ(h.top(), best);
       ASSERT_EQ(h.top_key(), key[static_cast<std::size_t>(best)]);
     }
@@ -277,7 +265,9 @@ TEST(MonotoneMinQueue, DifferentialAgainstMultiset) {
       ms.erase(ms.find(v));
     }
     ASSERT_EQ(m.empty(), ms.empty());
-    if (!ms.empty()) ASSERT_EQ(m.min(), *ms.begin());
+    if (!ms.empty()) {
+      ASSERT_EQ(m.min(), *ms.begin());
+    }
   }
 }
 

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include "obs/report.h"
 #include "obs/sink.h"
 #include "obs/span_map.h"
+#include "util/rng.h"
 
 namespace qos {
 namespace {
@@ -425,8 +427,8 @@ TEST(SpanMap, InsertLookupAndSize) {
 }
 
 TEST(SpanMap, ZeroKeyIsAValidKey) {
-  // Slot emptiness is encoded as stored == 0 via key + 1, so seq 0 — the
-  // very first request of every run — must round-trip.
+  // Seq 0 — the very first request of every run — must round-trip; only
+  // 2^64 - 1 marks an empty slot.
   SpanMap<int> map;
   bool inserted = false;
   map.find_or_insert(0, inserted) = 42;
@@ -486,6 +488,78 @@ TEST(SpanMap, BackwardShiftDeletionKeepsProbeChainsReachable) {
   }
   EXPECT_EQ(map.size(), next - live_lo);
   EXPECT_FALSE(map.erase(live_lo - 1));  // erased keys stay erased
+}
+
+TEST(SpanMap, MaxKeyIsRejected) {
+  // 2^64 - 1 is the empty-slot marker: taking it as a key would insert it
+  // afresh on every touch and never find it to erase.
+  SpanMap<int> map;
+  bool inserted = false;
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  EXPECT_DEATH(map.find_or_insert(kMax, inserted), "Precondition");
+  map.find_or_insert(kMax - 1, inserted) = 1;
+  EXPECT_TRUE(inserted);
+  EXPECT_DEATH((void)map.erase(kMax), "Precondition");
+  EXPECT_EQ(map.size(), 1u);
+}
+
+TEST(SpanMap, DifferentialAgainstUnorderedMap) {
+  // Multiplicative hashing spreads dense or strided keys so evenly that
+  // they barely collide, so the tests above hardly exercise backward-shift
+  // deletion.  Here keys come from a sliding seq window (as the Tracer's
+  // do) and from anywhere in 64 bits, are erased in random order, and the
+  // live count hovers just under the 3/4 growth threshold of each capacity
+  // from 64 to 2048 slots, where probe chains run long.
+  SpanMap<std::uint64_t> map;
+  std::unordered_map<std::uint64_t, std::uint64_t> ref;
+  std::vector<std::uint64_t> live;  // ref's keys, for random picks
+  Rng rng(11);
+  bool inserted = false;
+  std::uint64_t window_lo = 0;
+  std::uint64_t stamp = 0;
+  for (std::size_t capacity = 64; capacity <= 2048; capacity *= 2) {
+    const std::size_t high = capacity * 3 / 4 - 1;  // most without growing
+    for (int op = 0; op < 6'000; ++op) {
+      window_lo += static_cast<std::uint64_t>(rng.uniform_int(0, 2));
+      const bool add = live.size() + 8 <= high ||
+                       (live.size() < high && rng.next_double() < 0.5);
+      if (add) {
+        std::uint64_t key =
+            rng.next_double() < 0.7
+                ? window_lo + static_cast<std::uint64_t>(rng.uniform_int(
+                                  0, static_cast<std::int64_t>(capacity)))
+                : rng.next_u64();
+        if (key == SpanMap<std::uint64_t>::kEmpty) key = 0;
+        const bool present = ref.count(key) != 0;
+        std::uint64_t& value = map.find_or_insert(key, inserted);
+        ASSERT_EQ(inserted, !present) << key;
+        if (present) {
+          ASSERT_EQ(value, ref[key]) << key;
+        } else {
+          live.push_back(key);
+        }
+        value = ++stamp;
+        ref[key] = stamp;
+      } else {
+        const std::size_t pick = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+        const std::uint64_t key = live[pick];
+        live[pick] = live.back();
+        live.pop_back();
+        ASSERT_TRUE(map.erase(key)) << key;
+        ref.erase(key);
+        ASSERT_FALSE(map.erase(key)) << key;
+      }
+      ASSERT_EQ(map.size(), ref.size());
+      if (op % 500 == 0) {
+        for (const auto& [key, value] : ref) {
+          ASSERT_EQ(map.find_or_insert(key, inserted), value) << key;
+          ASSERT_FALSE(inserted) << key;
+        }
+      }
+    }
+  }
+  EXPECT_GT(ref.size(), 1'000u);
 }
 
 TEST(SpanMap, ClearResets) {

@@ -32,7 +32,9 @@ std::vector<Request> drain(RequestStream& s) {
   while (auto r = s.next()) {
     EXPECT_TRUE(request_record_ok(*r));
     EXPECT_EQ(r->seq, out.size());
-    if (!out.empty()) EXPECT_GE(r->arrival, out.back().arrival);
+    if (!out.empty()) {
+      EXPECT_GE(r->arrival, out.back().arrival);
+    }
     out.push_back(*r);
   }
   EXPECT_FALSE(s.next().has_value()) << "nullopt must be sticky";
@@ -145,17 +147,55 @@ TEST(StreamMerge, MatchesTraceMerge) {
 
   // Many sources with deliberate cross-source ties: the lowest source wins
   // each tie, then within-source order, as Trace::merge's stable sort does.
-  for (std::size_t count : {1, 64, 130}) {
-    SCOPED_TRACE(count);
-    std::vector<Trace> tied;
-    for (std::size_t k = 0; k < count; ++k) tied.push_back(tied_source(k));
-    const Trace want = Trace::merge(tied);
-    std::vector<std::unique_ptr<RequestStream>> tied_sources;
-    for (const Trace& t : tied)
-      tied_sources.push_back(std::make_unique<stream::TraceStream>(t));
-    stream::MergedStream tied_merge(std::move(tied_sources));
-    expect_same_sequence(want, tied_merge);
+  // The counts cover the empty merge, one source, and source counts on and
+  // either side of a power of two (the merge's tree pads to one); each runs
+  // again behind a leading empty source.
+  for (std::size_t count : {0, 1, 2, 3, 5, 63, 64, 65, 130}) {
+    for (bool leading_empty : {false, true}) {
+      SCOPED_TRACE(count);
+      SCOPED_TRACE(leading_empty);
+      std::vector<Trace> tied;
+      if (leading_empty) tied.emplace_back();
+      for (std::size_t k = 0; k < count; ++k) tied.push_back(tied_source(k));
+      const Trace want = Trace::merge(tied);
+      std::vector<std::unique_ptr<RequestStream>> tied_sources;
+      for (const Trace& t : tied)
+        tied_sources.push_back(std::make_unique<stream::TraceStream>(t));
+      stream::MergedStream tied_merge(std::move(tied_sources));
+      expect_same_sequence(want, tied_merge);
+    }
   }
+
+  // kTimeMax is a legal arrival as well as the head time of a dry source:
+  // at that instant the lowest source that still holds a record wins, so
+  // records at kTimeMax come out in source order while sources that ran
+  // dry earlier (or never had a record) are passed over.
+  std::vector<Trace> late;
+  auto at = [](std::vector<Time> arrivals, std::uint64_t tag) {
+    std::vector<Request> requests;
+    for (std::size_t j = 0; j < arrivals.size(); ++j)
+      requests.push_back(Request{.arrival = arrivals[j], .lba = tag + j});
+    return Trace(std::move(requests));
+  };
+  late.push_back(at({1, 2}, 0));                  // dry early
+  late.push_back(at({kTimeMax, kTimeMax}, 100));  // only kTimeMax
+  late.push_back(at({}, 200));                    // never held one
+  late.push_back(at({3, kTimeMax}, 300));         // reaches kTimeMax
+  late.push_back(at({4}, 400));                   // dry late
+  late.push_back(at({kTimeMax}, 500));            // beside 2 padding leaves
+  const Trace want = Trace::merge(late);
+  std::vector<std::unique_ptr<RequestStream>> late_sources;
+  for (const Trace& t : late)
+    late_sources.push_back(std::make_unique<stream::TraceStream>(t));
+  stream::MergedStream late_merge(std::move(late_sources));
+  expect_same_sequence(want, late_merge);
+  ASSERT_EQ(want.size(), 8u);
+  for (std::size_t i = 4; i < want.size(); ++i)
+    EXPECT_EQ(want[i].arrival, kTimeMax);
+  EXPECT_EQ(want[4].client, 1u);
+  EXPECT_EQ(want[5].client, 1u);
+  EXPECT_EQ(want[6].client, 3u);
+  EXPECT_EQ(want[7].client, 5u);
 }
 
 // A one-shard sharded run over one tenant is the streamed form of
